@@ -39,7 +39,7 @@ def _timed(runner, env):
 
 def run_both():
     plain_env = JoinEnvironment(C1, C2, PageGeometry(512))
-    packed_env = JoinEnvironment(C1, C2, PageGeometry(512), compress_inverted=True)
+    packed_env = JoinEnvironment(C1, C2, PageGeometry(512), codec="vbyte")
     rows = []
     bench_rows = []
     for name, runner in (("HVNL", run_hvnl), ("VVM", run_vvm)):

@@ -241,6 +241,52 @@ def _io_mismatch(materialized: IOStats, streamed: IOStats) -> str | None:
     return None
 
 
+def matches_mismatch(reference: Matches, candidate: Matches) -> str | None:
+    """First disagreement between two results' matches, or None.
+
+    Exact equality, floats included: every equivalence check compares
+    two runs over the same integer d-cell weights.
+    """
+    if reference != candidate:
+        missing = set(reference) ^ set(candidate)
+        if missing:
+            return (
+                f"outer documents differ (symmetric difference {sorted(missing)})"
+            )
+        for outer_doc, hits in reference.items():
+            if candidate[outer_doc] != hits:
+                return (
+                    f"matches for outer {outer_doc} differ: "
+                    f"reference={hits} candidate={candidate[outer_doc]}"
+                )
+        return "matches dicts differ"
+    for outer_doc, hits in reference.items():
+        for (_, ref_sim), (_, cand_sim) in zip(hits, candidate[outer_doc]):
+            # == alone would bless int 22 against float 22.0; rendered
+            # output (sql --rows-only) exposes the type, so pin it too.
+            if type(cand_sim) is not type(ref_sim):
+                return (
+                    f"similarity type for outer {outer_doc} differs: "
+                    f"reference {type(ref_sim).__name__}({ref_sim}) "
+                    f"candidate {type(cand_sim).__name__}({cand_sim})"
+                )
+    return None
+
+
+def result_mismatch(reference: "Any", candidate: "Any") -> str | None:
+    """First disagreement between two full join results, or None:
+    matches, similarity types, per-extent I/O, then extras."""
+    detail = matches_mismatch(reference.matches, candidate.matches)
+    if detail is None:
+        detail = _io_mismatch(reference.io, candidate.io)
+    if detail is None and reference.extras != candidate.extras:
+        detail = (
+            f"extras differ: reference={reference.extras} "
+            f"candidate={candidate.extras}"
+        )
+    return detail
+
+
 def _stream_mismatch(
     result: "Any", blocks: list, summary: "Any"
 ) -> str | None:
@@ -257,17 +303,9 @@ def _stream_mismatch(
     if outer_seen != sorted(outer_seen):
         return f"blocks not in ascending outer order: {outer_seen}"
     flattened = {block.outer_doc: list(block.matches) for block in blocks}
-    if flattened != result.matches:
-        missing = set(result.matches) ^ set(flattened)
-        if missing:
-            return f"outer documents differ (symmetric difference {sorted(missing)})"
-        for outer_doc, hits in result.matches.items():
-            if flattened[outer_doc] != hits:
-                return (
-                    f"matches for outer {outer_doc} differ: "
-                    f"run={hits} iter={flattened[outer_doc]}"
-                )
-        return "matches dicts differ"
+    detail = matches_mismatch(result.matches, flattened)
+    if detail is not None:
+        return detail
     if list(flattened) != list(result.matches):
         return "outer-document emission order differs from materialized order"
     detail = _io_mismatch(result.io, summary.io)

@@ -37,7 +37,7 @@ from typing import Any, Mapping, Sequence
 from repro.conformance.differential import (
     DifferentialOutcome,
     Divergence,
-    _io_mismatch,
+    result_mismatch,
 )
 from repro.conformance.trials import (
     DEFAULT_EXECUTORS,
@@ -75,31 +75,6 @@ def _candidate_kernels() -> tuple[str, ...]:
     if numpy_available():
         names.append("numpy")
     return tuple(names)
-
-
-def _result_mismatch(cold, incremental) -> str | None:
-    """First disagreement between cold rebuild and mutated workspace."""
-    if cold.matches != incremental.matches:
-        missing = set(cold.matches) ^ set(incremental.matches)
-        if missing:
-            return (
-                f"outer documents differ (symmetric difference {sorted(missing)})"
-            )
-        for outer_doc, hits in cold.matches.items():
-            if incremental.matches[outer_doc] != hits:
-                return (
-                    f"matches for outer {outer_doc} differ: "
-                    f"cold={hits} incremental={incremental.matches[outer_doc]}"
-                )
-        return "matches dicts differ"
-    detail = _io_mismatch(cold.io, incremental.io)
-    if detail is not None:
-        return detail
-    if cold.extras != incremental.extras:
-        return (
-            f"extras differ: cold={cold.extras} incremental={incremental.extras}"
-        )
-    return None
 
 
 def _random_operations(
@@ -294,7 +269,7 @@ def run_incremental_equivalence(
                     side = "cold" if cold is None else "incremental"
                     diverge(name, f"insufficient memory on the {side} side only")
                     continue
-                detail = _result_mismatch(cold, incremental)
+                detail = result_mismatch(cold, incremental)
                 if detail is not None:
                     diverge(name, detail)
                     continue
@@ -313,7 +288,7 @@ def run_incremental_equivalence(
                         continue
                     finally:
                         factory.kernel = "auto"
-                    detail = _result_mismatch(kernel_cold, kernel_incremental)
+                    detail = result_mismatch(kernel_cold, kernel_incremental)
                     if detail is not None:
                         diverge(name, f"kernel={kernel}: {detail}")
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from repro.conformance.differential import (
     DifferentialOutcome,
     Divergence,
-    _io_mismatch,
+    result_mismatch,
 )
 from repro.conformance.trials import (
     DEFAULT_EXECUTORS,
@@ -69,43 +69,6 @@ def _kernel_environment(
     return JoinEnvironment(
         c1, c2, PageGeometry(config.page_bytes), kernel=kernel, codec=codec
     )
-
-
-def _result_mismatch(reference, candidate) -> str | None:
-    """First disagreement between two full join results, or None."""
-    if reference.matches != candidate.matches:
-        missing = set(reference.matches) ^ set(candidate.matches)
-        if missing:
-            return (
-                "outer documents differ "
-                f"(symmetric difference {sorted(missing)})"
-            )
-        for outer_doc, hits in reference.matches.items():
-            if candidate.matches[outer_doc] != hits:
-                return (
-                    f"matches for outer {outer_doc} differ: "
-                    f"reference={hits} candidate={candidate.matches[outer_doc]}"
-                )
-        return "matches dicts differ"
-    for outer_doc, hits in reference.matches.items():
-        for (_, ref_sim), (_, cand_sim) in zip(hits, candidate.matches[outer_doc]):
-            # == alone would bless int 22 against float 22.0; rendered
-            # output (sql --rows-only) exposes the type, so pin it too.
-            if type(cand_sim) is not type(ref_sim):
-                return (
-                    f"similarity type for outer {outer_doc} differs: "
-                    f"reference {type(ref_sim).__name__}({ref_sim}) "
-                    f"candidate {type(cand_sim).__name__}({cand_sim})"
-                )
-    detail = _io_mismatch(reference.io, candidate.io)
-    if detail is not None:
-        return detail
-    if reference.extras != candidate.extras:
-        return (
-            f"extras differ: reference={reference.extras} "
-            f"candidate={candidate.extras}"
-        )
-    return None
 
 
 def run_kernel_equivalence(
@@ -160,7 +123,7 @@ def run_kernel_equivalence(
                         "scalar run fits"
                     )
                     continue
-                detail = _result_mismatch(reference, candidate)
+                detail = result_mismatch(reference, candidate)
                 if detail is not None:
                     diverge(f"kernel={kernel}: {detail}")
 

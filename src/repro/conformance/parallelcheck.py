@@ -35,6 +35,8 @@ from repro.conformance.differential import (
     DifferentialOutcome,
     Divergence,
     _io_mismatch,
+    matches_mismatch,
+    result_mismatch,
 )
 from repro.conformance.trials import (
     DEFAULT_EXECUTORS,
@@ -74,24 +76,6 @@ def _default_runner(
         interference=config.interference,
         delta=config.delta,
     )
-
-
-def _match_mismatch(sequential: "object", sharded: ShardedJoinResult) -> str | None:
-    """Describe the first match disagreement, or None when identical."""
-    if sequential.matches == sharded.matches:
-        return None
-    missing = set(sequential.matches) ^ set(sharded.matches)
-    if missing:
-        return (
-            f"outer documents differ (symmetric difference {sorted(missing)})"
-        )
-    for outer_doc, hits in sequential.matches.items():
-        if sharded.matches[outer_doc] != hits:
-            return (
-                f"matches for outer {outer_doc} differ: "
-                f"sequential={hits} sharded={sharded.matches[outer_doc]}"
-            )
-    return "matches dicts differ"
 
 
 def _additivity_mismatch(sharded: ShardedJoinResult) -> str | None:
@@ -148,19 +132,14 @@ def run_parallel_equivalence(
                         "the sequential run fits"
                     )
                 else:
-                    detail = _match_mismatch(sequential, sharded)
+                    detail = matches_mismatch(sequential.matches, sharded.matches)
                     if detail is None:
                         detail = _additivity_mismatch(sharded)
                     if detail is None and shards == 1:
-                        detail = _io_mismatch(sequential.io, sharded.io)
-                        if detail is None:
-                            first = sharded.shard_outcomes[0]
-                            if first.extras != sequential.extras:
-                                detail = (
-                                    "pass-through extras differ: "
-                                    f"sequential={sequential.extras} "
-                                    f"sharded={first.extras}"
-                                )
+                        # the pass-through shard is the sequential run
+                        detail = result_mismatch(
+                            sequential, sharded.shard_outcomes[0]
+                        )
                 if detail is not None:
                     outcome.divergences.append(
                         Divergence(

@@ -9,7 +9,7 @@ replayed exactly from the parameters embedded in the report
 Collections come from :mod:`repro.workloads.synthetic`, sized so that a
 trial costs milliseconds: the point of a conformance sweep is many small
 randomized configurations, not one big one.  The executor registry maps
-algorithm names to uniform adapters over a trial, which is also the
+algorithm names to one uniform adapter over a trial, which is also the
 mutation hook the differential tests use to prove the harness catches an
 injected executor bug.
 """
@@ -20,10 +20,11 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.core.hhnl import iter_hhnl, run_hhnl
-from repro.core.hvnl import iter_hvnl, run_hvnl
+from repro.core.hhnl import run_hhnl
+from repro.core.hvnl import run_hvnl
 from repro.core.join import JoinEnvironment, TextJoinResult, TextJoinSpec
-from repro.core.vvm import iter_vvm, run_vvm
+from repro.core.operators import OPERATORS
+from repro.core.vvm import run_vvm
 from repro.cost.params import SystemParams
 from repro.errors import ConformanceError
 from repro.exec.stream import MatchBlock
@@ -232,98 +233,38 @@ def random_cost_trial_config(rng: random.Random, trial: int) -> TrialConfig:
     )
 
 
-def _run_hhnl(environment: JoinEnvironment, config: TrialConfig) -> TextJoinResult:
-    """HHNL adapter over a trial."""
-    return run_hhnl(
-        environment,
-        config.join_spec(),
-        config.system(),
-        outer_ids=config.outer_selection,
-        inner_ids=config.inner_selection,
-        interference=config.interference,
-    )
+def _over_trial(operator: Callable[..., Any]) -> Callable[..., Any]:
+    """Adapt ``operator(environment, spec, system, **keywords)`` — a
+    public ``run_*`` wrapper or an operator-table stream — to a trial."""
 
+    def adapter(environment: JoinEnvironment, config: TrialConfig) -> Any:
+        return operator(
+            environment,
+            config.join_spec(),
+            config.system(),
+            outer_ids=config.outer_selection,
+            inner_ids=config.inner_selection,
+            interference=config.interference,
+            delta=config.delta,
+        )
 
-def _run_hvnl(environment: JoinEnvironment, config: TrialConfig) -> TextJoinResult:
-    """HVNL adapter over a trial."""
-    return run_hvnl(
-        environment,
-        config.join_spec(),
-        config.system(),
-        outer_ids=config.outer_selection,
-        inner_ids=config.inner_selection,
-        interference=config.interference,
-        delta=config.delta,
-    )
-
-
-def _run_vvm(environment: JoinEnvironment, config: TrialConfig) -> TextJoinResult:
-    """VVM adapter over a trial."""
-    return run_vvm(
-        environment,
-        config.join_spec(),
-        config.system(),
-        outer_ids=config.outer_selection,
-        inner_ids=config.inner_selection,
-        interference=config.interference,
-        delta=config.delta,
-    )
-
-
-def _iter_hhnl(environment: JoinEnvironment, config: TrialConfig) -> Iterator[MatchBlock]:
-    """Streaming HHNL adapter over a trial."""
-    return iter_hhnl(
-        environment,
-        config.join_spec(),
-        config.system(),
-        outer_ids=config.outer_selection,
-        inner_ids=config.inner_selection,
-        interference=config.interference,
-    )
-
-
-def _iter_hvnl(environment: JoinEnvironment, config: TrialConfig) -> Iterator[MatchBlock]:
-    """Streaming HVNL adapter over a trial."""
-    return iter_hvnl(
-        environment,
-        config.join_spec(),
-        config.system(),
-        outer_ids=config.outer_selection,
-        inner_ids=config.inner_selection,
-        interference=config.interference,
-        delta=config.delta,
-    )
-
-
-def _iter_vvm(environment: JoinEnvironment, config: TrialConfig) -> Iterator[MatchBlock]:
-    """Streaming VVM adapter over a trial."""
-    return iter_vvm(
-        environment,
-        config.join_spec(),
-        config.system(),
-        outer_ids=config.outer_selection,
-        inner_ids=config.inner_selection,
-        interference=config.interference,
-        delta=config.delta,
-    )
+    return adapter
 
 
 #: name -> adapter; the default set every check cross-examines.  Tests
 #: inject mutated entries here (via the ``executors=`` parameters, never
 #: by mutating this mapping) to prove divergences are caught.
 DEFAULT_EXECUTORS: Mapping[str, ExecutorFn] = {
-    "HHNL": _run_hhnl,
-    "HVNL": _run_hvnl,
-    "VVM": _run_vvm,
+    "HHNL": _over_trial(run_hhnl),
+    "HVNL": _over_trial(run_hvnl),
+    "VVM": _over_trial(run_vvm),
 }
 
 #: name -> streaming adapter, aligned with :data:`DEFAULT_EXECUTORS` so
-#: the streaming-equivalence check can pair each ``iter_*`` generator
-#: with its materializing ``run_*`` twin on the same trial.
+#: the streaming-equivalence check can pair each operator-table stream
+#: with its public materializing ``run_*`` twin on the same trial.
 DEFAULT_STREAMERS: Mapping[str, StreamerFn] = {
-    "HHNL": _iter_hhnl,
-    "HVNL": _iter_hvnl,
-    "VVM": _iter_vvm,
+    name: _over_trial(OPERATORS[name].stream) for name in DEFAULT_EXECUTORS
 }
 
 

@@ -22,7 +22,11 @@ import random
 import tempfile
 from typing import Callable, Mapping
 
-from repro.conformance.differential import Divergence, DifferentialOutcome, _io_mismatch
+from repro.conformance.differential import (
+    Divergence,
+    DifferentialOutcome,
+    result_mismatch,
+)
 from repro.conformance.trials import (
     DEFAULT_EXECUTORS,
     ExecutorFn,
@@ -37,34 +41,6 @@ from repro.workspace.loader import load_workspace
 #: how a trial turns a workspace directory back into a factory; the
 #: injection point for corruption-detection tests
 LoaderFn = Callable[[str], EnvironmentFactory]
-
-
-def _result_mismatch(memory: "object", loaded: "object") -> str | None:
-    """Describe the first disagreement between the two runs, or None.
-
-    Exact equality throughout — the d-cells hold integer weights, both
-    runs compute similarities from the same integers, so even the floats
-    must agree bit-for-bit.
-    """
-    if memory.matches != loaded.matches:
-        missing = set(memory.matches) ^ set(loaded.matches)
-        if missing:
-            return (
-                f"outer documents differ (symmetric difference {sorted(missing)})"
-            )
-        for outer_doc, hits in memory.matches.items():
-            if loaded.matches[outer_doc] != hits:
-                return (
-                    f"matches for outer {outer_doc} differ: "
-                    f"memory={hits} workspace={loaded.matches[outer_doc]}"
-                )
-        return "matches dicts differ"
-    detail = _io_mismatch(memory.io, loaded.io)
-    if detail is not None:
-        return detail
-    if memory.extras != loaded.extras:
-        return f"extras differ: memory={memory.extras} workspace={loaded.extras}"
-    return None
 
 
 def run_workspace_roundtrip(
@@ -116,7 +92,7 @@ def run_workspace_roundtrip(
                     side = "in-memory" if memory_result is None else "workspace"
                     detail = f"insufficient memory on the {side} side only"
                 else:
-                    detail = _result_mismatch(memory_result, loaded_result)
+                    detail = result_mismatch(memory_result, loaded_result)
                 if detail is not None:
                     outcome.divergences.append(
                         Divergence(

@@ -62,17 +62,12 @@ class EnvironmentSpec:
     """The frozen recipe for one physical dataset layout.
 
     ``codec`` names the :mod:`repro.index.codecs` postings codec the
-    inverted extents are stored in.  ``compress_inverted`` predates the
-    codec layer and is kept as an alias: setting it selects ``vbyte``,
-    and selecting any compressed codec sets it — the two fields are
-    normalised to agree at construction time, so old call sites and new
-    ones describe the same physical layout.
+    inverted extents are stored in (``"vbyte"`` for compressed postings).
     """
 
     page_bytes: int = PageGeometry().page_bytes
     build_inverted: bool = True
     btree_order: int = 64
-    compress_inverted: bool = False
     codec: str = "raw"
 
     def __post_init__(self) -> None:
@@ -82,13 +77,7 @@ class EnvironmentSpec:
             raise JoinError(f"btree_order must be at least 3, got {self.btree_order}")
         from repro.index.codecs import resolve_codec
 
-        codec = self.codec
-        if self.compress_inverted and codec == "raw":
-            codec = "vbyte"
-        if resolve_codec(codec).compressed != self.compress_inverted:
-            object.__setattr__(self, "compress_inverted", not self.compress_inverted)
-        if codec != self.codec:
-            object.__setattr__(self, "codec", codec)
+        resolve_codec(self.codec)  # rejects an unknown codec name
 
     def geometry(self) -> PageGeometry:
         """The page geometry every artifact of this spec is laid out in."""
@@ -331,7 +320,6 @@ class EnvironmentFactory:
         environment.geometry = self._geometry
         environment.collection1 = self.collection1
         environment.collection2 = self.collection2
-        environment.compress_inverted = spec.compress_inverted
         environment.codec = spec.codec
         cells = self.collection1.total_cells
         if not self.self_join:

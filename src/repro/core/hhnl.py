@@ -50,6 +50,7 @@ def iter_hhnl(
     outer_ids: Sequence[int] | None = None,
     inner_ids: Sequence[int] | None = None,
     interference: bool = False,
+    delta: float = 0.1,
     context: ExecutionContext | None = None,
 ) -> Iterator[MatchBlock]:
     """Execute HHNL in forward order, streaming per-chunk match blocks.
@@ -57,7 +58,9 @@ def iter_hhnl(
     ``inner_ids`` restricts the candidate pool to selected C1 documents
     (Section 2 allows selections on either relation); like the outer
     side, survivors are random-fetched only while that beats scanning
-    and filtering.
+    and filtering.  ``delta`` belongs to the keyword set every operator
+    of :mod:`repro.core.operators` accepts; HHNL keeps no similarity
+    accumulator, so its memory equation does not read it.
     """
     ctx = ensure_context(context)
     outer_ids = resolve_outer_ids(environment, outer_ids)
@@ -78,32 +81,10 @@ def iter_hhnl(
 
     all_outer = list(range(environment.collection2.n_documents))
     participating = outer_ids if outer_ids is not None else all_outer
-    selected = outer_ids is not None and len(outer_ids) < len(all_outer)
-    if selected:
-        # Fetch survivors at random only while that beats scanning the
-        # whole collection and filtering (the model's min in
-        # JoinSide.document_read_cost).
-        import math
-
-        per_doc_pages = (
-            math.ceil(environment.stats2.S) if environment.stats2.S > 0 else 0
-        )
-        random_cost = len(participating) * per_doc_pages * system.alpha
-        if random_cost >= environment.stats2.D:
-            selected = False  # scan-and-filter: charge like a plain scan
-
-    inner_selected = (
-        inner_ids is not None
-        and len(inner_ids) < environment.collection1.n_documents
-    )
-    if inner_selected:
-        import math
-
-        per_doc_pages = (
-            math.ceil(environment.stats1.S) if environment.stats1.S > 0 else 0
-        )
-        if len(inner_ids) * per_doc_pages * system.alpha >= environment.stats1.D:
-            inner_selected = False  # scan-and-filter the inner side too
+    # Fetch survivors at random only while that beats scanning the whole
+    # collection and filtering — the same policy the cost model prices.
+    selected = side2.fetch_at_random(system.alpha)
+    inner_selected = side1.fetch_at_random(system.alpha)
     inner_filter = set(inner_ids) if inner_ids is not None else None
 
     inner_scans = 0
@@ -206,6 +187,7 @@ def run_hhnl(
     outer_ids: Sequence[int] | None = None,
     inner_ids: Sequence[int] | None = None,
     interference: bool = False,
+    delta: float = 0.1,
     context: ExecutionContext | None = None,
 ) -> TextJoinResult:
     """Execute HHNL to completion (the materialized wrapper over
@@ -218,6 +200,7 @@ def run_hhnl(
             outer_ids=outer_ids,
             inner_ids=inner_ids,
             interference=interference,
+            delta=delta,
             context=context,
         )
     )
@@ -229,7 +212,9 @@ def iter_hhnl_backward(
     system: SystemParams,
     *,
     outer_ids: Sequence[int] | None = None,
+    inner_ids: Sequence[int] | None = None,
     interference: bool = False,
+    delta: float = 0.1,
     context: ExecutionContext | None = None,
 ) -> Iterator[MatchBlock]:
     """Execute HHNL in *backward* order (C1 drives the loop), streaming.
@@ -249,7 +234,24 @@ def iter_hhnl_backward(
     ``outer_ids`` still selects C2 documents (the per-group side); C2 is
     re-read once per C1 chunk, scanning and filtering or random-fetching
     whichever the statistics say is cheaper.
+
+    The backward order has no inner selections: with ``inner_ids`` the
+    join runs in forward order instead (identical matches, the forward
+    operator's I/O pattern and summary).  ``delta`` is unused, as in
+    :func:`iter_hhnl`.
     """
+    if inner_ids is not None:
+        return (
+            yield from iter_hhnl(
+                environment,
+                spec,
+                system,
+                outer_ids=outer_ids,
+                inner_ids=inner_ids,
+                interference=interference,
+                context=context,
+            )
+        )
     ctx = ensure_context(context)
     outer_ids = resolve_outer_ids(environment, outer_ids)
     side1, side2 = environment.cost_sides(outer_ids)
@@ -264,15 +266,7 @@ def iter_hhnl_backward(
 
     all_c2 = list(range(environment.collection2.n_documents))
     participating = outer_ids if outer_ids is not None else all_c2
-    c2_selected = outer_ids is not None and len(outer_ids) < len(all_c2)
-    if c2_selected:
-        import math
-
-        per_doc_pages = (
-            math.ceil(environment.stats2.S) if environment.stats2.S > 0 else 0
-        )
-        if len(participating) * per_doc_pages * system.alpha >= environment.stats2.D:
-            c2_selected = False  # scan-and-filter is cheaper
+    c2_selected = side2.fetch_at_random(system.alpha)
     participating_set = set(participating)
 
     trackers = {doc_id: TopK(spec.lam) for doc_id in participating}
@@ -366,7 +360,9 @@ def run_hhnl_backward(
     system: SystemParams,
     *,
     outer_ids: Sequence[int] | None = None,
+    inner_ids: Sequence[int] | None = None,
     interference: bool = False,
+    delta: float = 0.1,
     context: ExecutionContext | None = None,
 ) -> TextJoinResult:
     """Execute HHNL backward to completion (wrapper over
@@ -377,7 +373,9 @@ def run_hhnl_backward(
             spec,
             system,
             outer_ids=outer_ids,
+            inner_ids=inner_ids,
             interference=interference,
+            delta=delta,
             context=context,
         )
     )

@@ -149,27 +149,22 @@ def iter_hvnl(
                 bulk_loaded = True
 
         # --- outer document stream --------------------------------------------
-        selected = (
-            outer_ids is not None
-            and len(outer_ids) < environment.collection2.n_documents
-        )
-        if selected:
-            per_doc_pages = math.ceil(stats2.S) if stats2.S > 0 else 0
-            if len(outer_ids) * per_doc_pages * system.alpha >= stats2.D:
-                # Scan-and-filter beats random fetches (the model's min).
-                participating_set = set(outer_ids)
-                outer_stream = (
-                    (span.record_id, doc)
-                    for span, doc in disk.scan_records(
-                        docs2, interference=interference
-                    )
-                    if span.record_id in participating_set
+        _, side2 = environment.cost_sides(outer_ids)
+        if side2.fetch_at_random(system.alpha):
+            outer_stream = (
+                (doc_id, disk.read_record(docs2, doc_id))
+                for doc_id in outer_ids
+            )
+        elif side2.is_selected:
+            # Scan-and-filter beats random fetches (the model's choice).
+            participating_set = set(outer_ids)
+            outer_stream = (
+                (span.record_id, doc)
+                for span, doc in disk.scan_records(
+                    docs2, interference=interference
                 )
-            else:
-                outer_stream = (
-                    (doc_id, disk.read_record(docs2, doc_id))
-                    for doc_id in outer_ids
-                )
+                if span.record_id in participating_set
+            )
         elif interference:
             # Worst case with spare memory (Section 5.2's hvr, cases 1-2):
             # entry capacity beyond the resident working set buffers blocks

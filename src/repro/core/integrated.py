@@ -8,7 +8,8 @@ if it has the lowest estimated cost."
 :class:`IntegratedJoin` does exactly that over a
 :class:`~repro.core.join.JoinEnvironment`: build the statistics, evaluate
 all six cost formulas, pick the cheapest feasible algorithm under the
-chosen I/O scenario, and dispatch to its executor — either streamed
+chosen I/O scenario, and dispatch to its entry in the operator table
+(:mod:`repro.core.operators`) — either streamed
 (:meth:`IntegratedJoin.stream`, the path the SQL layer uses so ``LIMIT``
 can abandon the join mid-I/O) or materialized
 (:meth:`IntegratedJoin.run`).
@@ -19,13 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.core.hhnl import iter_hhnl, iter_hhnl_backward
-from repro.core.hvnl import iter_hvnl
 from repro.core.join import JoinEnvironment, TextJoinResult, TextJoinSpec
-from repro.core.vvm import iter_vvm
+from repro.core.operators import operator
 from repro.cost.model import CostModel, CostReport
 from repro.cost.params import QueryParams, SystemParams
-from repro.errors import JoinError
 from repro.exec.context import ExecutionContext
 from repro.exec.stream import MatchBlock, collect
 
@@ -107,41 +105,11 @@ class IntegratedJoin:
         """
         if decision is None:
             decision = self.decide(spec, outer_ids, inner_ids)
-        if decision.chosen == "HHNL":
-            stream = iter_hhnl(
-                self.environment, spec, self.system,
-                outer_ids=outer_ids, inner_ids=inner_ids,
-                interference=interference, context=context,
-            )
-        elif decision.chosen == "HHNL-BWD":
-            # the backward executor predates inner selections; fall back
-            # to filtering via the forward runner when one is requested
-            if inner_ids is not None:
-                stream = iter_hhnl(
-                    self.environment, spec, self.system,
-                    outer_ids=outer_ids, inner_ids=inner_ids,
-                    interference=interference, context=context,
-                )
-            else:
-                stream = iter_hhnl_backward(
-                    self.environment, spec, self.system,
-                    outer_ids=outer_ids, interference=interference,
-                    context=context,
-                )
-        elif decision.chosen == "HVNL":
-            stream = iter_hvnl(
-                self.environment, spec, self.system,
-                outer_ids=outer_ids, inner_ids=inner_ids,
-                interference=interference, delta=self.delta, context=context,
-            )
-        elif decision.chosen == "VVM":
-            stream = iter_vvm(
-                self.environment, spec, self.system,
-                outer_ids=outer_ids, inner_ids=inner_ids,
-                interference=interference, delta=self.delta, context=context,
-            )
-        else:  # pragma: no cover — the report only emits the four names
-            raise JoinError(f"unknown algorithm {decision.chosen!r}")
+        stream = operator(decision.chosen).stream(
+            self.environment, spec, self.system,
+            outer_ids=outer_ids, inner_ids=inner_ids,
+            interference=interference, delta=self.delta, context=context,
+        )
         summary = yield from stream
         summary.extras["decision"] = decision
         summary.extras["estimated_cost"] = decision.estimated_cost

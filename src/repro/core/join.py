@@ -69,7 +69,7 @@ class JoinEnvironment:
     Attributes (``docs1``/``docs2``, ``inverted1``/``inverted2``,
     ``inv1_extent``/``inv2_extent``, ``btree1``/``btree2``,
     ``stats1``/``stats2``, ``disk``, ``geometry``) are identical either
-    way; with ``compress_inverted`` the stored entries are d-gap/vbyte
+    way; with ``codec="vbyte"`` the stored entries are d-gap/vbyte
     coded (:mod:`repro.index.compression`) and the executors run
     unchanged over the smaller pages.
     """
@@ -77,7 +77,6 @@ class JoinEnvironment:
     geometry: PageGeometry
     collection1: DocumentCollection
     collection2: DocumentCollection
-    compress_inverted: bool
     codec: str
     kernels: "Kernels"
     disk: SimulatedDisk
@@ -102,7 +101,6 @@ class JoinEnvironment:
         *,
         build_inverted: bool = True,
         btree_order: int = 64,
-        compress_inverted: bool = False,
         codec: str = "raw",
         kernel: str = "auto",
     ) -> None:
@@ -112,7 +110,6 @@ class JoinEnvironment:
             page_bytes=(geometry or PageGeometry()).page_bytes,
             build_inverted=build_inverted,
             btree_order=btree_order,
-            compress_inverted=compress_inverted,
             codec=codec,
         )
         factory = EnvironmentFactory(

@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.hhnl import run_hhnl, run_hhnl_backward
-from repro.core.hvnl import run_hvnl
 from repro.core.join import JoinEnvironment, TextJoinResult, TextJoinSpec
-from repro.core.vvm import run_vvm
+from repro.core.operators import operator
 from repro.cost.communication import ExecutionSite, communication_cost
 from repro.cost.cpu import cpu_report, hhnl_cpu_cost
 from repro.cost.hhnl import hhnl_backward_cost, hhnl_cost
@@ -35,6 +33,7 @@ from repro.cost.overlap import overlap_probabilities
 from repro.cost.params import JoinSide, QueryParams, SystemParams
 from repro.cost.vvm import vvm_cost
 from repro.errors import InsufficientMemoryError, JoinError
+from repro.exec.stream import collect
 
 
 @dataclass(frozen=True)
@@ -162,14 +161,6 @@ def optimize(
     return OptimizedPlan(config=config, candidates=candidates)
 
 
-_RUNNERS = {
-    "HHNL": run_hhnl,
-    "HHNL-BWD": run_hhnl_backward,
-    "HVNL": run_hvnl,
-    "VVM": run_vvm,
-}
-
-
 def execute_plan(
     plan: PlanCost,
     environment: JoinEnvironment,
@@ -185,11 +176,11 @@ def execute_plan(
     simulation; the plan rides along in ``extras['plan']`` so callers
     can report it.
     """
-    runner = _RUNNERS.get(plan.algorithm)
-    if runner is None:
-        raise JoinError(f"unknown plan algorithm {plan.algorithm!r}")
-    result = runner(
-        environment, spec, system, outer_ids=outer_ids, interference=interference
+    result = collect(
+        operator(plan.algorithm).stream(
+            environment, spec, system,
+            outer_ids=outer_ids, interference=interference,
+        )
     )
     result.extras["plan"] = plan
     return result

@@ -34,22 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.core.hhnl import iter_hhnl, iter_hhnl_backward
-from repro.core.hvnl import iter_hvnl
-from repro.core.join import JoinEnvironment, TextJoinResult, TextJoinSpec
-from repro.core.vvm import iter_vvm
+from repro.core.join import JoinEnvironment, TextJoinSpec
+from repro.core.operators import OPERATORS
 from repro.cost.params import SystemParams
 from repro.errors import ParallelExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.stream import MatchBlock, collect
+from repro.exec.stream import MatchBlock
 
 #: every algorithm the sharded entry points dispatch to, with its axis
-SHARD_AXES = {
-    "HHNL": "inner",
-    "HHNL-BWD": "inner",
-    "HVNL": "inner",
-    "VVM": "outer",
-}
+#: (a view of the operator table, kept for callers that only plan)
+SHARD_AXES = {name: entry.shard_axis for name, entry in OPERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -168,10 +162,9 @@ def iter_shard(
     """Stream one shard of a partitioned join.
 
     The shard's document slice replaces the selection on its axis; the
-    other axis keeps the caller's selection.  ``HHNL-BWD`` with an inner
-    slice falls back to the forward executor, mirroring
-    :meth:`repro.core.integrated.IntegratedJoin.stream` — matches are
-    identical by construction, only the I/O pattern differs.
+    other axis keeps the caller's selection, and the operator comes from
+    the same table :meth:`repro.core.integrated.IntegratedJoin.stream`
+    dispatches through.
     """
     if shard.axis != SHARD_AXES.get(algorithm):
         raise ParallelExecutionError(
@@ -185,53 +178,10 @@ def iter_shard(
             shard_inner = shard.doc_ids
         else:
             shard_outer = shard.doc_ids
-    if algorithm == "HHNL" or (
-        algorithm == "HHNL-BWD" and shard_inner is not None
-    ):
-        return iter_hhnl(
-            environment, spec, system,
-            outer_ids=shard_outer, inner_ids=shard_inner,
-            interference=interference, context=context,
-        )
-    if algorithm == "HHNL-BWD":
-        return iter_hhnl_backward(
-            environment, spec, system,
-            outer_ids=shard_outer, interference=interference,
-            context=context,
-        )
-    if algorithm == "HVNL":
-        return iter_hvnl(
-            environment, spec, system,
-            outer_ids=shard_outer, inner_ids=shard_inner,
-            interference=interference, delta=delta, context=context,
-        )
-    return iter_vvm(
+    return OPERATORS[algorithm].stream(
         environment, spec, system,
         outer_ids=shard_outer, inner_ids=shard_inner,
         interference=interference, delta=delta, context=context,
-    )
-
-
-def run_shard(
-    algorithm: str,
-    environment: JoinEnvironment,
-    spec: TextJoinSpec,
-    system: SystemParams,
-    shard: ShardSpec,
-    *,
-    outer_ids: Sequence[int] | None = None,
-    inner_ids: Sequence[int] | None = None,
-    interference: bool = False,
-    delta: float = 0.1,
-    context: ExecutionContext | None = None,
-) -> TextJoinResult:
-    """Execute one shard to completion (wrapper over :func:`iter_shard`)."""
-    return collect(
-        iter_shard(
-            algorithm, environment, spec, system, shard,
-            outer_ids=outer_ids, inner_ids=inner_ids,
-            interference=interference, delta=delta, context=context,
-        )
     )
 
 
@@ -240,6 +190,5 @@ __all__ = [
     "ShardSpec",
     "iter_shard",
     "partition_ids",
-    "run_shard",
     "shard_specs",
 ]

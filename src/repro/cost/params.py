@@ -10,6 +10,7 @@ query parameters ``lambda``, ``delta`` plus selection effects
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.constants import (
@@ -109,22 +110,28 @@ class JoinSide:
             return self.stats.n_documents
         return self.participating
 
-    def document_read_cost(self, alpha: float) -> float:
-        """Weighted cost of bringing every participating document in once.
-
-        Unselected: one sequential scan, ``D`` units.  Selected: the
-        survivors sit scattered inside the original extent, so each costs
-        ``ceil(S) * alpha`` (the paper's random-read approximation) — but
-        never more than scanning the whole collection, since the executor
-        can always fall back to a full scan and filter.
-        """
-        full_scan = self.stats.D
-        if not self.is_selected:
-            return full_scan
-        import math
-
+    def random_fetch_cost(self, alpha: float) -> float:
+        """Weighted cost of fetching every participating document at random:
+        ``ceil(S) * alpha`` each, the paper's random-read approximation."""
         per_doc = math.ceil(self.stats.S) if self.stats.S > 0 else 0
-        return min(full_scan, self.n_participating * per_doc * alpha)
+        return self.n_participating * per_doc * alpha
+
+    def fetch_at_random(self, alpha: float) -> bool:
+        """The read policy for this side, shared by model and operators.
+
+        True when a selection left few enough survivors that fetching
+        them at random from their scattered locations beats scanning the
+        whole collection and filtering; an unselected side always scans.
+        """
+        return self.is_selected and self.random_fetch_cost(alpha) < self.stats.D
+
+    def document_read_cost(self, alpha: float) -> float:
+        """Weighted cost of bringing every participating document in once:
+        the random fetches when :meth:`fetch_at_random` says so, else one
+        sequential scan of ``D`` pages."""
+        if self.fetch_at_random(alpha):
+            return self.random_fetch_cost(alpha)
+        return self.stats.D
 
     def selected(self, participating: int) -> "JoinSide":
         """A copy with a selection leaving ``participating`` documents."""

@@ -17,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.hhnl import run_hhnl
-from repro.core.hvnl import run_hvnl
 from repro.core.join import JoinEnvironment, TextJoinSpec
-from repro.core.vvm import run_vvm
+from repro.core.operators import OPERATORS
 from repro.cost.hhnl import hhnl_cost
 from repro.cost.hvnl import hvnl_cost
 from repro.cost.params import QueryParams, SystemParams
 from repro.cost.vvm import vvm_cost
 from repro.errors import JoinError
+from repro.exec.stream import collect
 from repro.storage.pages import PageGeometry
 from repro.text.collection import DocumentCollection
 
@@ -82,17 +81,13 @@ def validate_algorithms(
         "VVM": vvm_cost(side1, side2, system, query),
     }
     results = {
-        "HHNL": run_hhnl(
-            environment, spec, system, outer_ids=outer_ids, interference=interference
-        ),
-        "HVNL": run_hvnl(
-            environment, spec, system,
-            outer_ids=outer_ids, interference=interference, delta=delta,
-        ),
-        "VVM": run_vvm(
-            environment, spec, system,
-            outer_ids=outer_ids, interference=interference, delta=delta,
-        ),
+        name: collect(
+            OPERATORS[name].stream(
+                environment, spec, system,
+                outer_ids=outer_ids, interference=interference, delta=delta,
+            )
+        )
+        for name in predictions
     }
 
     if check_agreement:

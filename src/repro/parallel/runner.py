@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.core.environment import EnvironmentFactory
-from repro.core.join import TextJoinResult, TextJoinSpec
-from repro.core.shards import SHARD_AXES, shard_specs
+from repro.core.join import TextJoinSpec
+from repro.core.shards import shard_specs
 from repro.cost.params import SystemParams
 from repro.errors import ParallelExecutionError
 from repro.exec.context import ExecutionContext, ensure_context
-from repro.exec.stream import MatchBlock
+from repro.exec.stream import MatchBlock, StreamSummary
 from repro.parallel.merge import (
     check_outcomes,
     merge_io,
@@ -69,12 +69,19 @@ class ShardedJoinResult:
         """Total pages each shard read (the measured-cost inputs)."""
         return [outcome.io.total_reads for outcome in self.shard_outcomes]
 
-    def to_text_join_result(self) -> TextJoinResult:
-        """The merged result in the sequential result type."""
-        return TextJoinResult(
+    def stream(self) -> Iterator[MatchBlock]:
+        """The merged result in the operator stream protocol.
+
+        One block per outer document in merged order, then a
+        :class:`~repro.exec.stream.StreamSummary` — so whatever consumes
+        an ``iter_*`` operator (:func:`~repro.exec.stream.collect`, the
+        SQL executor) consumes a sharded run unchanged.
+        """
+        for outer_doc, hits in self.matches.items():
+            yield MatchBlock(outer_doc=outer_doc, matches=tuple(hits))
+        return StreamSummary(
             algorithm=self.algorithm,
             spec=self.spec,
-            matches=self.matches,
             io=self.io,
             extras=dict(self.extras),
         )
@@ -117,11 +124,6 @@ def run_sharded(
         raise ParallelExecutionError(
             "run_sharded needs exactly one dataset source: "
             "a workspace directory or an environment factory"
-        )
-    if algorithm not in SHARD_AXES:
-        raise ParallelExecutionError(
-            f"unknown algorithm {algorithm!r}; "
-            f"sharded execution supports {sorted(SHARD_AXES)}"
         )
     planning_factory = factory if factory is not None else load_workspace(workspace)
     specs = shard_specs(
@@ -171,12 +173,11 @@ def run_sharded(
     for outer_doc in matches:
         ctx.emit(MatchBlock(outer_doc=outer_doc, matches=tuple(matches[outer_doc])))
 
-    axis = SHARD_AXES[algorithm]
     extras: dict[str, Any] = {
         "sharded": True,
         "shards": len(outcomes),
         "jobs": jobs,
-        "axis": axis,
+        "axis": specs[0].axis,
         "per_shard": [
             {
                 "index": outcome.index,

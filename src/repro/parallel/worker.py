@@ -22,8 +22,9 @@ persisted dataset performs **zero** derivation work — the
 
 from __future__ import annotations
 
-from repro.core.shards import run_shard
+from repro.core.shards import iter_shard
 from repro.exec.context import ExecutionBudget, ExecutionContext
+from repro.exec.stream import collect
 from repro.parallel.tasks import ShardOutcome, ShardTask
 from repro.workspace.loader import load_workspace
 
@@ -40,17 +41,19 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
             pages=task.budget_pages, seconds=task.budget_seconds
         )
     )
-    result = run_shard(
-        task.algorithm,
-        environment,
-        task.spec,
-        task.system,
-        task.shard,
-        outer_ids=task.outer_ids,
-        inner_ids=task.inner_ids,
-        interference=task.interference,
-        delta=task.delta,
-        context=context,
+    result = collect(
+        iter_shard(
+            task.algorithm,
+            environment,
+            task.spec,
+            task.system,
+            task.shard,
+            outer_ids=task.outer_ids,
+            inner_ids=task.inner_ids,
+            interference=task.interference,
+            delta=task.delta,
+            context=context,
+        )
     )
     return ShardOutcome(
         index=task.shard.index,

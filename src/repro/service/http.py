@@ -62,6 +62,10 @@ STATUS_BY_CODE: Mapping[str, int] = {
     "internal-error": 500,
 }
 
+#: largest request body the service reads; a request is one SQL
+#: statement plus a few integers, so 1 MiB is already generous
+MAX_BODY_BYTES = 1 << 20
+
 
 class ServiceHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`JoinService`."""
@@ -108,6 +112,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -133,9 +139,21 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             raise ServiceRequestError(
                 f"POST {self.path} requires a Content-Length body"
             )
+        # The header is client-controlled: read(-1) would block until the
+        # client hangs up and a huge value would allocate that much.
         try:
-            raw = self.rfile.read(int(length))
-            return json.loads(raw.decode("utf-8"))
+            n_bytes = int(length)
+        except ValueError:
+            n_bytes = -1
+        if not 0 <= n_bytes <= MAX_BODY_BYTES:
+            # the unread body must not be parsed as the next request
+            self.close_connection = True
+            raise ServiceRequestError(
+                f"Content-Length must be an integer between 0 and "
+                f"{MAX_BODY_BYTES}, got {length!r}"
+            )
+        try:
+            return json.loads(self.rfile.read(n_bytes).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise ServiceRequestError(f"request body is not valid JSON: {exc}")
 

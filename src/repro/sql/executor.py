@@ -193,16 +193,9 @@ def iter_execute(
     the_plan = plan(query, catalog, inner_strategy=inner_strategy)
     if isinstance(the_plan, SelectionPlan):
         return (yield from _iter_selection(the_plan, max_rows))
-    if shards is not None:
-        return (
-            yield from _iter_text_join_sharded(
-                the_plan, system, scenario, context, shards, jobs, max_rows,
-                codec=codec, kernel=kernel,
-            )
-        )
     return (
         yield from _iter_text_join(
-            the_plan, system, scenario, context, max_rows,
+            the_plan, system, scenario, context, shards, jobs, max_rows,
             codec=codec, kernel=kernel,
         )
     )
@@ -278,111 +271,28 @@ def _plan_factory(
     return factory
 
 
-def _iter_text_join_sharded(
+def _iter_text_join(
     the_plan: TextJoinPlan,
     system: SystemParams,
     scenario: str,
     context: ExecutionContext | None,
-    shards: int,
+    shards: int | None,
     jobs: int,
     max_rows: int | None,
     *,
     codec: str | None = None,
     kernel: str | None = None,
 ) -> Generator[StreamItem, None, QueryResult]:
-    """Partitioned text-join execution: shard, merge, then project.
+    """The one text-join consumer: decide, pull a block stream, project.
 
-    The algorithm choice reuses :class:`IntegratedJoin`'s cost-based
-    decision on the full (unsharded) statistics, so ``--shards`` never
-    changes which operator runs — only how many partitions run it.
-    ``LIMIT`` applies after the exact merge, so the retained rows equal
-    the sequential path's rows (the stream cannot be abandoned early
-    across shards, so sharding a limited query trades early exit for
-    parallelism); blocks are therefore yielded only once the merge is
-    complete.
+    Sequential and sharded execution differ only in the stream pulled:
+    the chosen operator's own, or — with ``shards`` — the exact merge of
+    :func:`repro.parallel.run_sharded` replayed block by block.  The
+    decision always uses the full (unsharded) statistics, so ``shards``
+    never changes which operator runs, and the rows are identical.  A
+    sharded stream is complete before its first block, so there a
+    ``LIMIT`` trims rows but saves no I/O.
     """
-    from repro.parallel.runner import run_sharded
-
-    factory = _plan_factory(the_plan, codec, kernel)
-    events_before = len(factory.derivation_events())
-    environment = factory.create()
-    dataset_build_events = len(factory.derivation_events()) - events_before
-    joiner = IntegratedJoin(environment, system, scenario=scenario)
-    spec = TextJoinSpec(lam=the_plan.lam)
-    ctx = ensure_context(context)
-    decision = joiner.decide(spec, the_plan.outer_ids, the_plan.inner_ids)
-
-    columns = [f"{p.binding}.{p.attribute}" for p in the_plan.projections]
-    columns += ["_rank", "_similarity"]
-    yield ProjectedHeader(columns=tuple(columns), algorithm=decision.chosen)
-
-    sharded = run_sharded(
-        decision.chosen,
-        spec,
-        system,
-        factory=factory,
-        shards=shards,
-        jobs=jobs,
-        outer_ids=the_plan.outer_ids,
-        inner_ids=the_plan.inner_ids,
-        delta=joiner.delta,
-        context=ctx,
-    )
-
-    limit = _effective_limit(the_plan.limit, max_rows)
-    rows: list[tuple[Any, ...]] = []
-    emitted = 0
-    for outer_doc in sharded.matches:
-        block_rows = _project_block_rows(
-            the_plan, outer_doc, tuple(sharded.matches[outer_doc])
-        )
-        rows.extend(block_rows)
-        keep = (
-            len(block_rows)
-            if limit is None
-            else max(0, min(len(block_rows), limit - emitted))
-        )
-        if keep:
-            yield ProjectedBlock(outer_doc=outer_doc, rows=tuple(block_rows[:keep]))
-            emitted += keep
-    truncated = limit is not None and len(rows) > limit
-    if limit is not None:
-        rows = rows[:limit]
-
-    return QueryResult(
-        columns=columns,
-        rows=rows,
-        # Report the decision, not the per-shard executor: HHNL-BWD's
-        # inner-sharded shards fall back to forward HHNL, but the
-        # logical choice (and the rows) are the same at every shard
-        # count.
-        algorithm=decision.chosen,
-        join=sharded.to_text_join_result(),
-        extras={
-            "plan": the_plan,
-            "decision": decision,
-            "pages_read": sharded.io.total_reads,
-            "blocks_emitted": ctx.blocks_emitted,
-            "truncated": truncated,
-            "dataset_build_events": dataset_build_events,
-            "sharding": {
-                key: sharded.extras[key]
-                for key in ("shards", "jobs", "axis", "per_shard")
-            },
-        },
-    )
-
-
-def _iter_text_join(
-    the_plan: TextJoinPlan,
-    system: SystemParams,
-    scenario: str,
-    context: ExecutionContext | None,
-    max_rows: int | None,
-    *,
-    codec: str | None = None,
-    kernel: str | None = None,
-) -> Generator[StreamItem, None, QueryResult]:
     factory = _plan_factory(the_plan, codec, kernel)
     # Derivation events charged to *this* query: zero when the catalog
     # supplied a warm (e.g. workspace-backed) factory.
@@ -400,13 +310,39 @@ def _iter_text_join(
     columns += ["_rank", "_similarity"]
     yield ProjectedHeader(columns=tuple(columns), algorithm=decision.chosen)
 
-    stream = joiner.stream(
-        spec,
-        the_plan.outer_ids,
-        inner_ids=the_plan.inner_ids,
-        context=ctx,
-        decision=decision,
-    )
+    sharded_extras: dict[str, Any] = {}
+    if shards is None:
+        stream = joiner.stream(
+            spec,
+            the_plan.outer_ids,
+            inner_ids=the_plan.inner_ids,
+            context=ctx,
+            decision=decision,
+        )
+    else:
+        from repro.parallel.runner import run_sharded
+
+        sharded = run_sharded(
+            decision.chosen,
+            spec,
+            system,
+            factory=factory,
+            shards=shards,
+            jobs=jobs,
+            outer_ids=the_plan.outer_ids,
+            inner_ids=the_plan.inner_ids,
+            delta=joiner.delta,
+            context=ctx,
+        )
+        stream = sharded.stream()
+        sharded_extras = {
+            # shard workers charge their own contexts, not the caller's
+            "pages_read": sharded.io.total_reads,
+            "sharding": {
+                key: sharded.extras[key]
+                for key in ("shards", "jobs", "axis", "per_shard")
+            },
+        }
 
     limit = _effective_limit(the_plan.limit, max_rows)
     rows: list[tuple[Any, ...]] = []
@@ -457,6 +393,9 @@ def _iter_text_join(
     return QueryResult(
         columns=columns,
         rows=rows,
+        # The decision, not the executor that ran: an inner-sliced
+        # HHNL-BWD runs in forward order, but the logical choice (and
+        # the rows) are the same at every shard count.
         algorithm=decision.chosen,
         join=join,
         extras={
@@ -466,5 +405,6 @@ def _iter_text_join(
             "blocks_emitted": ctx.blocks_emitted,
             "truncated": truncated,
             "dataset_build_events": dataset_build_events,
+            **sharded_extras,
         },
     )

@@ -88,3 +88,14 @@ class TestDocumentReadCost:
     def test_alpha_scales_random_cost(self):
         side = JoinSide(stats(), participating=10)
         assert side.document_read_cost(10) == 2 * side.document_read_cost(5)
+
+    def test_read_policy_is_the_priced_one(self):
+        # the operators ask fetch_at_random; the model must price that choice
+        assert not JoinSide(stats()).fetch_at_random(5)
+        assert JoinSide(stats(), participating=10).fetch_at_random(5)
+        assert not JoinSide(stats(), participating=900).fetch_at_random(5)
+        for participating in range(0, 1000, 7):  # every one a selection
+            side = JoinSide(stats(), participating=participating)
+            scan, fetch = side.stats.D, side.random_fetch_cost(5)
+            assert side.fetch_at_random(5) == (fetch < scan)
+            assert side.document_read_cost(5) == min(scan, fetch)

@@ -139,7 +139,7 @@ class TestEnvironmentIntegration:
         c1, c2 = pair
         system = SystemParams(buffer_pages=24, page_bytes=512)
         plain_env = JoinEnvironment(c1, c2, PageGeometry(512))
-        packed_env = JoinEnvironment(c1, c2, PageGeometry(512), compress_inverted=True)
+        packed_env = JoinEnvironment(c1, c2, PageGeometry(512), codec="vbyte")
         spec = TextJoinSpec(lam=3)
         for runner in (run_hvnl, run_vvm):
             plain = runner(plain_env, spec, system)
@@ -150,7 +150,7 @@ class TestEnvironmentIntegration:
         c1, c2 = pair
         system = SystemParams(buffer_pages=24, page_bytes=512)
         plain_env = JoinEnvironment(c1, c2, PageGeometry(512))
-        packed_env = JoinEnvironment(c1, c2, PageGeometry(512), compress_inverted=True)
+        packed_env = JoinEnvironment(c1, c2, PageGeometry(512), codec="vbyte")
         spec = TextJoinSpec(lam=3)
         plain = run_vvm(plain_env, spec, system)
         packed = run_vvm(packed_env, spec, system)
@@ -159,7 +159,7 @@ class TestEnvironmentIntegration:
     def test_extent_size_shrinks(self, pair):
         c1, c2 = pair
         plain_env = JoinEnvironment(c1, c2, PageGeometry(512))
-        packed_env = JoinEnvironment(c1, c2, PageGeometry(512), compress_inverted=True)
+        packed_env = JoinEnvironment(c1, c2, PageGeometry(512), codec="vbyte")
         assert packed_env.inv1_extent.total_bytes < plain_env.inv1_extent.total_bytes
 
 
@@ -197,7 +197,7 @@ class TestCompressionAwareCostModel:
         )
         geometry = PageGeometry(512)
         system = SystemParams(buffer_pages=32, page_bytes=512)
-        env = JoinEnvironment(c1, c2, geometry, compress_inverted=True)
+        env = JoinEnvironment(c1, c2, geometry, codec="vbyte")
 
         # measure the true codec ratios and adjust the statistics
         stats1 = CollectionStats.from_collection(c1, geometry)

@@ -8,6 +8,7 @@ for malformed bodies, bad SQL, unknown workspaces and blown budgets.
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.errors import (
 )
 from repro.service import STATUS_BY_CODE, error_code_for
 from repro.service.core import ERROR_CODES
+from repro.service.http import MAX_BODY_BYTES
 
 JOIN_SQL = "SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO(3) R2.Doc"
 
@@ -156,3 +158,48 @@ def test_rejections_are_counted_in_metrics(running_service):
     assert after.get("sql-syntax", 0) == before.get("sql-syntax", 0) + 1
     assert after.get("unknown-workspace", 0) == before.get("unknown-workspace", 0) + 1
     assert after.get("bad-request", 0) == before.get("bad-request", 0) + 1
+
+
+# --- hostile framing: raw sockets, because urllib computes the header ---------
+
+
+def raw_post(handle, content_length: bytes) -> tuple[int, dict]:
+    """POST /query with a hand-written Content-Length and no body at all.
+
+    Reads until the server closes the connection (the unread body must
+    not become the next request); the 5 s socket timeout turns a handler
+    stuck in ``rfile.read`` into a test failure instead of a hang.
+    """
+    with socket.create_connection(
+        ("127.0.0.1", handle.server.port), timeout=5
+    ) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n"
+        )
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, payload = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+@pytest.mark.parametrize(
+    "content_length", [b"-1", b"99999999999", b"1048577", b"seven"]
+)
+def test_hostile_content_length_is_a_counted_400(running_service, content_length):
+    before = running_service.get("/metrics")[1]["rejections"].get("bad-request", 0)
+    status, body = raw_post(running_service, content_length)
+    assert status == 400
+    assert body["error"]["code"] == "bad-request"
+    assert "Content-Length" in body["error"]["message"]
+    after = running_service.get("/metrics")[1]["rejections"].get("bad-request", 0)
+    assert after == before + 1
+    # the handler thread was not wedged: the service still answers
+    assert running_service.query({"sql": JOIN_SQL})[0] == 200
+
+
+def test_body_at_the_size_limit_is_still_read(running_service):
+    body = json.dumps({"sql": JOIN_SQL}).encode().ljust(MAX_BODY_BYTES)
+    status, _text = running_service.post("/query", body, raw=True)
+    assert status == 200

@@ -56,7 +56,7 @@ class TestTextToJoin:
     def test_pipeline_with_compression(self, corpus):
         abstracts, profiles = corpus
         plain = JoinEnvironment(abstracts, profiles)
-        packed = JoinEnvironment(abstracts, profiles, compress_inverted=True)
+        packed = JoinEnvironment(abstracts, profiles, codec="vbyte")
         system = SystemParams(buffer_pages=64)
         a = IntegratedJoin(plain, system).run(TextJoinSpec(lam=2))
         b = IntegratedJoin(packed, system).run(TextJoinSpec(lam=2))

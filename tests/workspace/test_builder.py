@@ -64,7 +64,7 @@ class TestArtifactSet:
 class TestRejections:
     def test_compressed_spec_builds_a_vbyte_workspace(self, tmp_path, collections):
         c1, _ = collections
-        spec = EnvironmentSpec(compress_inverted=True)
+        spec = EnvironmentSpec(codec="vbyte")
         manifest = build_workspace(tmp_path, c1, spec=spec)
         assert manifest["codec"] == "vbyte"
         assert verify_workspace(tmp_path) == []
