@@ -321,10 +321,7 @@ class EnvironmentFactory:
         environment.collection1 = self.collection1
         environment.collection2 = self.collection2
         environment.codec = spec.codec
-        cells = self.collection1.total_cells
-        if not self.self_join:
-            cells += self.collection2.total_cells
-        environment.kernels = resolve_kernels(self.kernel, cells=cells)
+        environment.kernels = resolve_kernels(self.kernel)
         environment.disk = SimulatedDisk(IOStats(), self._geometry)  # repro: ignore[RA-CONTEXT] -- the factory creates each environment's root counter before execution
         environment.docs1 = environment.disk.attach_extent(self.docs_extent(1))
         if self.self_join:

@@ -17,13 +17,9 @@ three interchangeable backends:
 
 ``auto`` (the default everywhere) resolves to ``numpy`` when available
 and ``stdlib`` otherwise, so environments built on machines without
-numpy degrade gracefully instead of failing.  Callers that know the
-workload size pass a ``cells`` hint: below
-:data:`AUTO_NUMPY_MIN_CELLS` total term cells, ``auto`` stays on
-``stdlib`` even with numpy importable — on tiny collections the
-batches are a handful of elements, so per-call dispatch overhead and
-GIL churn from released-and-reacquired array ops cost more than the
-vectorisation saves.
+numpy degrade gracefully instead of failing.  There is no size gate:
+numpy measures faster than ``stdlib`` down to the smallest benchmarked
+collections (120 x 90 documents).
 
 **Byte-identity guarantee.**  All similarity arithmetic is exact: term
 weights are positive integers, every dot product and accumulator cell
@@ -51,10 +47,6 @@ from repro.kernels.packed import StdlibKernels
 #: every kernel backend name accepted by :func:`resolve_kernels`
 KERNEL_NAMES = ("auto", "scalar", "stdlib", "numpy")
 
-#: below this many total term cells, ``auto`` prefers ``stdlib`` over
-#: ``numpy`` (tiny batches lose to per-call dispatch overhead)
-AUTO_NUMPY_MIN_CELLS = 4096
-
 _CACHE: dict[str, Kernels] = {}
 
 
@@ -67,25 +59,19 @@ def numpy_available() -> bool:
     return True
 
 
-def resolve_kernels(name: str = "auto", *, cells: int | None = None) -> Kernels:
+def resolve_kernels(name: str = "auto") -> Kernels:
     """The kernel backend for ``name`` (a shared stateless instance).
 
     ``auto`` picks ``numpy`` when it imports and ``stdlib`` otherwise;
     asking for ``numpy`` explicitly on a machine without it raises —
     silent degradation is only acceptable when the caller asked for it.
-    ``cells`` (the joined collections' total term cells, when known)
-    keeps ``auto`` on ``stdlib`` below :data:`AUTO_NUMPY_MIN_CELLS`;
-    it never overrides an explicit backend choice.
     """
     if name not in KERNEL_NAMES:
         raise InvalidParameterError(
             f"unknown kernel backend {name!r}; choose from {KERNEL_NAMES}"
         )
     if name == "auto":
-        if numpy_available() and (cells is None or cells >= AUTO_NUMPY_MIN_CELLS):
-            name = "numpy"
-        else:
-            name = "stdlib"
+        name = "numpy" if numpy_available() else "stdlib"
     cached = _CACHE.get(name)
     if cached is not None:
         return cached
@@ -107,7 +93,6 @@ def resolve_kernels(name: str = "auto", *, cells: int | None = None) -> Kernels:
 
 
 __all__ = [
-    "AUTO_NUMPY_MIN_CELLS",
     "KERNEL_NAMES",
     "Kernels",
     "ScalarKernels",

@@ -7,15 +7,16 @@ objects without reading each other's caches).  The expensive primitive
 is never the single pair — it is the *bulk* op:
 
 * chunk scoring — :meth:`VectorChunkScorer.collect` only buffers the
-  streamed document's pack; when the chunk is ranked, one sparse
-  term-join (``searchsorted`` + ragged expansion + ``bincount``) scores
-  the whole chunk against every collected document at once;
+  streamed document's pack; when the chunk is ranked, one term join
+  (:func:`_term_join`: a dense product for the frequent terms, a ragged
+  scatter-add for the rest) scores the whole chunk against every
+  collected document at once;
 * sparse accumulation — :meth:`VectorSparseScores.add_entry` only
   buffers entry packs; the ranking flush concatenates them and folds
   them into a dense score row with one ``bincount``;
 * pair accumulation — :meth:`VectorPairScores.add_block` buffers the
-  (outer, inner) batch pair per matched term; the flush expands every
-  ragged cross product in one shot into a chunk x collection matrix.
+  (outer, inner) batch pair per matched term; the flush is the same
+  term join, with the block index standing in for the term.
 
 All arithmetic is exact: weights are positive integers, every score is
 a sum of integer products far below ``2**53``, and float64 represents
@@ -70,6 +71,12 @@ def _pack_entry(entry: Any) -> tuple[np.ndarray, np.ndarray]:
     return _pack_cells(entry, entry.postings)
 
 
+def _part_index(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Per element of ``np.concatenate(parts)``: the position of its part."""
+    sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    return np.repeat(np.arange(len(parts)), sizes)
+
+
 def _top_lambda_mask(sims: np.ndarray, lam: int) -> np.ndarray | None:
     """Mask keeping candidates that can still make a top-``lam`` set.
 
@@ -93,6 +100,37 @@ def _normalized(
     )
 
 
+def _ranked(
+    values: np.ndarray,
+    lam: int,
+    other_norms: np.ndarray | None,
+    norm: float,
+    ids: np.ndarray | None = None,
+    integral: bool = False,
+) -> Iterator[tuple[int, float]]:
+    """``(id, similarity)`` pairs of one score row's top-``lam`` contenders.
+
+    Scores are sums of positive products, so the non-zero cells are the
+    positive ones.  ``ids`` maps cell positions to document ids when
+    the row is not indexed by id; ``integral`` renders unnormalised
+    similarities as the plain ints the scalar accumulators yield (the
+    float64 cells hold those sums exactly).
+    """
+    found = np.flatnonzero(values)
+    sims = values[found]
+    if ids is not None:
+        found = ids[found]
+    if other_norms is not None:
+        sims = _normalized(sims, other_norms[found] * norm)
+    keep = _top_lambda_mask(sims, lam)
+    if keep is not None:
+        found = found[keep]
+        sims = sims[keep]
+    if integral and other_norms is None:
+        sims = sims.astype(np.int64)
+    return zip(found.tolist(), sims.tolist())
+
+
 class _PostingBatch:
     """A filtered posting batch: parallel id/weight arrays with a length."""
 
@@ -107,7 +145,7 @@ class _PostingBatch:
 
 
 class VectorChunkScorer(ChunkScorer):
-    """Buffers streamed packs; one sparse term-join scores the chunk."""
+    """Buffers streamed packs; one term join scores the chunk."""
 
     def __init__(self, docs: Sequence[Document]) -> None:
         self._docs = list(docs)
@@ -116,10 +154,7 @@ class VectorChunkScorer(ChunkScorer):
         if packs and self.total_terms:
             cat_terms = np.concatenate([terms for terms, _ in packs])
             cat_weights = np.concatenate([weights for _, weights in packs])
-            counts = np.fromiter(
-                (len(terms) for terms, _ in packs), dtype=np.int64, count=len(packs)
-            )
-            positions = np.repeat(np.arange(len(packs)), counts)
+            positions = _part_index([terms for terms, _ in packs])
             # One term-sorted view of the whole chunk: the join side of
             # every later searchsorted.
             order = np.argsort(cat_terms, kind="stable")
@@ -142,32 +177,20 @@ class VectorChunkScorer(ChunkScorer):
         self._matrix = None
 
     def _ensure_matrix(self) -> None:
-        """Score chunk x collected in one sparse term-join."""
+        """Score chunk x collected (never empty here) in one term join."""
         if self._matrix is not None:
             return
-        n_chunk = len(self._docs)
-        n_collected = len(self._collected)
         self._ids_array = np.asarray(self._scored_ids, dtype=np.int64)
-        if n_collected == 0 or len(self._chunk_terms) == 0:
-            self._matrix = np.zeros((n_chunk, max(n_collected, 1)))
-            return
-        terms = np.concatenate([pack[0] for pack in self._collected])
-        weights = np.concatenate([pack[1] for pack in self._collected])
-        lengths = np.fromiter(
-            (len(pack[0]) for pack in self._collected),
-            dtype=np.int64,
-            count=n_collected,
-        )
-        columns = np.repeat(np.arange(n_collected), lengths)
-        self._matrix = _sparse_term_join(
+        terms, weights = zip(*self._collected)
+        self._matrix = _term_join(
             self._chunk_terms,
             self._chunk_weights,
             self._chunk_positions,
-            n_chunk,
-            terms,
-            weights,
-            columns,
-            n_collected,
+            len(self._docs),
+            np.concatenate(terms),
+            np.concatenate(weights),
+            _part_index(terms),
+            len(terms),
         )
 
     def ranked_candidates(
@@ -178,19 +201,11 @@ class VectorChunkScorer(ChunkScorer):
         chunk_norm: float,
     ) -> Iterator[tuple[int, float]]:
         if not self._collected:
-            return
+            return iter(())
         self._ensure_matrix()
-        values = self._matrix[position]
-        positive = values > 0
-        ids = self._ids_array[positive]
-        sims = values[positive]
-        if other_norms is not None:
-            sims = _normalized(sims, other_norms[ids] * chunk_norm)
-        keep = _top_lambda_mask(sims, lam)
-        if keep is not None:
-            ids = ids[keep]
-            sims = sims[keep]
-        yield from zip(ids.tolist(), sims.tolist())
+        return _ranked(
+            self._matrix[position], lam, other_norms, chunk_norm, self._ids_array
+        )
 
     def set_chunk_norms(self, norms: Sequence[float] | None) -> None:
         self._chunk_norms = (
@@ -225,7 +240,15 @@ class VectorChunkScorer(ChunkScorer):
         yield from zip(positions.tolist(), sims.tolist())
 
 
-def _sparse_term_join(
+#: a term is scored densely when its pair contributions
+#: (``df_left * df_right``) reach 1/1024 of the output matrix.  Derived,
+#: not tuned: a dense term costs one BLAS FMA per output cell, a tail
+#: contribution four gathers and a scatter — several hundred times
+#: that — and wall-clock is flat between 256 and 4096.
+_DENSE_SHARE = 1024
+
+
+def _term_join(
     join_terms: np.ndarray,
     join_weights: np.ndarray,
     join_rows: np.ndarray,
@@ -241,22 +264,63 @@ def _sparse_term_join(
     ``terms``/``weights``/``columns`` is another (column id per cell).
     Every pair of cells sharing a term contributes the product of its
     weights to ``matrix[row, column]`` — exactly the all-pairs dot
-    products, evaluated as one scatter-add.
+    products.  Collections are Zipfian, so a few frequent terms carry
+    most pairs: those go through one dense ``rows x head @ head x
+    columns`` product, the long tail through one ragged scatter-add.
+    The product is exact under any BLAS summation order or FMA use
+    because every partial sum is an integer far below ``2**53``.
+    Terms are compacted to their rank among the distinct ``join_terms``
+    first, so nothing is sized by the vocabulary, and the dense
+    operands together never outgrow the matrix they feed.
     """
-    left = np.searchsorted(join_terms, terms, side="left")
-    right = np.searchsorted(join_terms, terms, side="right")
-    counts = right - left
-    total = int(counts.sum())
     matrix_cells = n_rows * n_columns
-    if total == 0:
+    if len(join_terms) == 0 or len(terms) == 0:
         return np.zeros((n_rows, n_columns))
-    source = np.repeat(np.arange(len(terms)), counts)
-    starts = np.cumsum(counts) - counts
-    join_index = np.repeat(left - starts, counts) + np.arange(total)
-    contrib = join_weights[join_index] * weights[source]
-    flat = join_rows[join_index] * n_columns + columns[source]
-    return np.bincount(flat, weights=contrib, minlength=matrix_cells).reshape(
-        n_rows, n_columns
+    starts = np.flatnonzero(np.concatenate(([True], join_terms[1:] != join_terms[:-1])))
+    df_left = np.diff(starts, append=len(join_terms))
+    distinct = join_terms[starts]
+    slots = np.minimum(np.searchsorted(distinct, terms), len(distinct) - 1)
+    shared = distinct[slots] == terms
+    slots, weights, columns = slots[shared], weights[shared], columns[shared]
+    pairs = df_left * np.bincount(slots, minlength=len(distinct))
+    head = np.flatnonzero(pairs * _DENSE_SHARE >= matrix_cells)
+    limit = max(matrix_cells // (n_rows + n_columns), 1)
+    if len(head) > limit:
+        head = head[np.argsort(-pairs[head], kind="stable")[:limit]]
+    # Dense-operand column of each slot; -1 marks the tail.
+    dense = np.full(len(distinct), -1)
+    dense[head] = np.arange(len(head))
+    left = np.repeat(dense, df_left)
+    right = dense[slots]
+    in_left, in_right = left >= 0, right >= 0
+    rows_by_head = np.zeros((n_rows, len(head)))
+    _scatter_add(rows_by_head, join_rows[in_left], left[in_left], join_weights[in_left])
+    head_by_columns = np.zeros((len(head), n_columns))
+    _scatter_add(head_by_columns, right[in_right], columns[in_right], weights[in_right])
+    matrix = rows_by_head @ head_by_columns
+    slots, weights, columns = slots[~in_right], weights[~in_right], columns[~in_right]
+    counts = df_left[slots]
+    source = np.repeat(np.arange(len(slots)), counts)
+    offsets = np.cumsum(counts) - counts
+    join_index = np.repeat(starts[slots] - offsets, counts) + np.arange(len(source))
+    _scatter_add(
+        matrix,
+        join_rows[join_index],
+        columns[source],
+        join_weights[join_index] * weights[source],
+    )
+    return matrix
+
+
+def _scatter_add(
+    matrix: np.ndarray, rows: np.ndarray, columns: np.ndarray, values: np.ndarray
+) -> None:
+    """``matrix[rows, columns] += values``, repeated cells summed."""
+    # One flat index and float64 values: ufunc.at's fast same-dtype path.
+    np.add.at(
+        matrix.reshape(-1),
+        rows * matrix.shape[1] + columns,
+        values.astype(np.float64),
     )
 
 
@@ -287,17 +351,10 @@ class VectorSparseScores(SparseScores):
         if not self._batches:
             scores = np.zeros(self._n_docs)
         else:
-            ids = np.concatenate([batch[0] for batch in self._batches])
-            weights = np.concatenate([batch[1] for batch in self._batches])
-            lengths = np.fromiter(
-                (len(batch[0]) for batch in self._batches),
-                dtype=np.int64,
-                count=len(self._batches),
-            )
-            outer = np.repeat(
-                np.asarray(self._outer_weights, dtype=np.int64), lengths
-            )
-            contrib = outer * weights
+            batch_ids, batch_weights = zip(*self._batches)
+            ids = np.concatenate(batch_ids)
+            outer = np.asarray(self._outer_weights, dtype=np.int64)
+            contrib = outer[_part_index(batch_ids)] * np.concatenate(batch_weights)
             if self._filter is not None:
                 allowed = self._filter[ids]
                 ids = ids[allowed]
@@ -314,24 +371,15 @@ class VectorSparseScores(SparseScores):
     def ranked_candidates(
         self, lam: int, other_norms: np.ndarray | None, outer_norm: float
     ) -> Iterator[tuple[int, float]]:
-        scores = self._flush()
-        ids = np.nonzero(scores)[0]
-        sims = scores[ids]
-        if other_norms is not None:
-            sims = _normalized(sims, other_norms[ids] * outer_norm)
-        keep = _top_lambda_mask(sims, lam)
-        if keep is not None:
-            ids = ids[keep]
-            sims = sims[keep]
-        yield from zip(ids.tolist(), sims.tolist())
+        return _ranked(self._flush(), lam, other_norms, outer_norm)
 
 
 class VectorPairScores(PairScores):
-    """Buffers batch pairs per matched term; one ragged cross-product flush.
+    """Buffers batch pairs per matched term; one term-join flush.
 
     When the chunk's dense matrix (``len(chunk) x n_docs``) stays under
-    :data:`DENSE_CELL_LIMIT` cells, the flush expands every buffered
-    cross product into one flat scatter-add.  Above the limit it falls
+    :data:`DENSE_CELL_LIMIT` cells, the flush scores every buffered
+    cross product in one :func:`_term_join`.  Above the limit it falls
     back to lazily-allocated dense rows updated batch-by-batch — slower,
     but memory-proportional to the rows actually touched.
     """
@@ -339,16 +387,20 @@ class VectorPairScores(PairScores):
     def __init__(self, n_docs: int) -> None:
         self._n_docs = n_docs
         self._chunk_rows: dict[int, int] = {}
+        # chunk ids ascending, and the chunk row of each: the flush's lookup
+        self._sorted_chunk = self._sorted_rows = np.empty(0, dtype=np.int64)
         self._blocks: list[tuple[_PostingBatch, _PostingBatch]] = []
         self._matrix: np.ndarray | None = None
         self._rows: dict[int, np.ndarray] = {}
-        self._touched: dict[int, np.ndarray] = {}
         self._row_cells = 0
         self._dense = True
         self.peak_cells = 0
 
     def begin_chunk(self, chunk: Sequence[int]) -> None:
         self._chunk_rows = {doc_id: row for row, doc_id in enumerate(chunk)}
+        ids = np.asarray(chunk, dtype=np.int64)
+        self._sorted_rows = np.argsort(ids, kind="stable")
+        self._sorted_chunk = ids[self._sorted_rows]
         self._dense = len(chunk) * self._n_docs <= DENSE_CELL_LIMIT
 
     def add_block(
@@ -358,7 +410,6 @@ class VectorPairScores(PairScores):
             self._blocks.append((outer_batch, inner_batch))
             self._matrix = None
             return
-        row_of = self._chunk_rows
         inner_ids = inner_batch.ids
         inner_weights = inner_batch.weights
         for outer_doc, outer_weight in zip(
@@ -366,14 +417,11 @@ class VectorPairScores(PairScores):
         ):
             row = self._rows.get(outer_doc)
             if row is None:
-                row = np.zeros(self._n_docs)
-                self._rows[outer_doc] = row
-                self._touched[outer_doc] = np.zeros(self._n_docs, dtype=bool)
-            touched = self._touched[outer_doc]
+                row = self._rows[outer_doc] = np.zeros(self._n_docs)
+            # Contributions are positive: a zero cell is an untouched one.
+            fresh = int(len(inner_ids) - np.count_nonzero(row[inner_ids]))
             row[inner_ids] += outer_weight * inner_weights
-            fresh = int(len(inner_ids) - np.count_nonzero(touched[inner_ids]))
             if fresh:
-                touched[inner_ids] = True
                 self._row_cells += fresh
                 if self._row_cells > self.peak_cells:
                     self.peak_cells = self._row_cells
@@ -382,7 +430,6 @@ class VectorPairScores(PairScores):
         self._blocks.clear()
         self._matrix = None
         self._rows.clear()
-        self._touched.clear()
         self._row_cells = 0
         self._chunk_rows = {}
 
@@ -394,42 +441,22 @@ class VectorPairScores(PairScores):
         if not self._blocks:
             matrix = np.zeros((n_rows, n_docs))
         else:
-            outer_sizes = np.fromiter(
-                (len(block[0]) for block in self._blocks),
-                dtype=np.int64,
-                count=len(self._blocks),
+            # One term join with the block index as the "term" of both
+            # sides: blocks arrive in merge order, so both are term-sorted.
+            outer, inner = zip(*self._blocks)
+            outer_ids = [batch.ids for batch in outer]
+            inner_ids = [batch.ids for batch in inner]
+            sorted_at = np.searchsorted(self._sorted_chunk, np.concatenate(outer_ids))
+            matrix = _term_join(
+                _part_index(outer_ids),
+                np.concatenate([batch.weights for batch in outer]),
+                self._sorted_rows[sorted_at],
+                n_rows,
+                _part_index(inner_ids),
+                np.concatenate([batch.weights for batch in inner]),
+                np.concatenate(inner_ids),
+                n_docs,
             )
-            inner_sizes = np.fromiter(
-                (len(block[1]) for block in self._blocks),
-                dtype=np.int64,
-                count=len(self._blocks),
-            )
-            outer_ids = np.concatenate([block[0].ids for block in self._blocks])
-            outer_weights = np.concatenate(
-                [block[0].weights for block in self._blocks]
-            )
-            inner_starts = np.cumsum(inner_sizes) - inner_sizes
-            # Per outer posting: repeat it across its block's inner batch.
-            per_outer = np.repeat(inner_sizes, outer_sizes)
-            outer_start = np.repeat(inner_starts, outer_sizes)
-            total = int(per_outer.sum())
-            rows = np.fromiter(
-                (self._chunk_rows[doc] for doc in outer_ids.tolist()),
-                dtype=np.int64,
-                count=len(outer_ids),
-            )
-            cross_starts = np.cumsum(per_outer) - per_outer
-            offsets = np.arange(total) - np.repeat(cross_starts, per_outer)
-            inner_index = np.repeat(outer_start, per_outer) + offsets
-            inner_ids = np.concatenate([block[1].ids for block in self._blocks])
-            inner_weights = np.concatenate(
-                [block[1].weights for block in self._blocks]
-            )
-            contrib = np.repeat(outer_weights, per_outer) * inner_weights[inner_index]
-            flat = np.repeat(rows, per_outer) * n_docs + inner_ids[inner_index]
-            matrix = np.bincount(
-                flat, weights=contrib, minlength=n_rows * n_docs
-            ).reshape(n_rows, n_docs)
         self._matrix = matrix
         # Positive contributions: non-zero cells == distinct touched cells.
         cells = int(np.count_nonzero(matrix))
@@ -446,30 +473,12 @@ class VectorPairScores(PairScores):
     ) -> Iterator[tuple[int, float]]:
         if self._dense:
             row_index = self._chunk_rows.get(outer_doc)
-            if row_index is None:
-                return
-            row = self._flush()[row_index]
-            ids = np.nonzero(row)[0]
-            sims = row[ids]
+            row = None if row_index is None else self._flush()[row_index]
         else:
             row = self._rows.get(outer_doc)
-            if row is None:
-                return
-            ids = np.nonzero(self._touched[outer_doc])[0]
-            sims = row[ids]
-        if other_norms is not None:
-            sims = _normalized(sims, other_norms[ids] * outer_norm)
-        keep = _top_lambda_mask(sims, lam)
-        if keep is not None:
-            ids = ids[keep]
-            sims = sims[keep]
-        if other_norms is None:
-            # The scalar accumulator yields plain int sums when no
-            # normalization runs; the float64 cells hold those sums
-            # exactly, so the cast preserves byte identity of the
-            # rendered similarity, not just its value.
-            sims = sims.astype(np.int64)
-        yield from zip(ids.tolist(), sims.tolist())
+        if row is None:
+            return iter(())
+        return _ranked(row, lam, other_norms, outer_norm, integral=True)
 
 
 class VectorKernels(Kernels):

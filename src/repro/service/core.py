@@ -49,6 +49,7 @@ from repro.errors import (
     WorkspaceError,
 )
 from repro.exec.context import ExecutionBudget, ExecutionContext
+from repro.kernels import resolve_kernels
 from repro.service.metrics import ServiceMetrics, phase_stats_payload
 from repro.service.schema import RESPONSE_SCHEMA
 from repro.sql.ast_nodes import SelectQuery
@@ -213,6 +214,7 @@ class LoadedWorkspace:
             "directory": self.directory,
             "fingerprint": self.fingerprint,
             "inner_documents": self.factory.collection1.n_documents,
+            "kernel": resolve_kernels(self.factory.kernel).name,
             "outer_documents": self.factory.collection2.n_documents,
             "page_bytes": self.system.page_bytes,
             "self_join": self.self_join,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cost.params import SystemParams
+from repro.kernels import resolve_kernels
 from repro.sql.executor import execute
 from repro.workspace import load_manifest, workspace_catalog
 
@@ -81,6 +82,7 @@ def test_health_reports_loaded_workspaces(running_service):
     assert described["inner_documents"] == 40
     assert described["outer_documents"] == 30
     assert described["self_join"] is False
+    assert described["kernel"] == resolve_kernels("auto").name
 
 
 def test_metrics_accumulate_per_query(running_service):
