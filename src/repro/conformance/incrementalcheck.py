@@ -10,11 +10,11 @@ because the merged multi-segment view renumbers and re-derives exactly
 what a cold build would.
 
 Each trial draws a random :class:`~repro.conformance.trials.TrialConfig`,
-builds its collections into a temporary workspace, then applies a random
-operation sequence — insert/delete batches against live global ids,
-``freeze_delta``, ``compact`` — while an oracle keeps the surviving
-documents' d-cells in merged order.  The mutated workspace must then
-agree with a cold in-memory environment built from the oracle:
+builds its collections into a temporary workspace (trials alternate the
+postings codecs), then applies a random operation sequence — insert/delete
+batches against live global ids, ``freeze_delta``, ``compact`` — while an
+oracle keeps the surviving documents' d-cells in merged order.  The mutated
+workspace must agree with a cold in-memory environment built from the oracle:
 
 * **sequentially** per executor, byte-identical down to extras;
 * **per kernel backend**, with the backend pinned on the loaded factory;
@@ -24,7 +24,10 @@ agree with a cold in-memory environment built from the oracle:
   segmented directory);
 
 and :func:`~repro.workspace.loader.verify_workspace` must report a clean
-bill after every freeze and compaction.
+bill after every freeze and compaction.  A **held-snapshot** axis rides
+along: the sequence is replayed the way a resident service plays it,
+every step handed the segments the previous step ended on, and the
+factory that ends on must equal the cold rebuild exactly as well.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.conformance.trials import (
 from repro.core.environment import EnvironmentSpec
 from repro.core.join import JoinEnvironment
 from repro.errors import InsufficientMemoryError
+from repro.index.codecs import CODEC_NAMES
 from repro.kernels import numpy_available
 from repro.parallel.runner import run_sharded
 from repro.storage.pages import PageGeometry
@@ -128,8 +132,16 @@ def _random_operations(
     return operations
 
 
-def _replay_operations(directory: str, operations: list[dict[str, Any]]) -> None:
-    """Apply a drawn operation sequence to the workspace on disk."""
+def _replay_operations(
+    directory: str, operations: list[dict[str, Any]], held: list[Any]
+) -> None:
+    """Apply a drawn operation sequence to the workspace on disk.
+
+    ``held`` is a resident reader's segment list: mutations reuse it and
+    a reuse-path load follows every step, freezes and compactions (which
+    happen behind its back) included.
+    """
+    load_workspace(directory, held)
     for operation in operations:
         if operation["op"] == "mutate":
             apply_mutations(
@@ -137,17 +149,20 @@ def _replay_operations(directory: str, operations: list[dict[str, Any]]) -> None
                 MutationBatch.from_term_lists(
                     inserts=operation["inserts"], deletes=operation["deletes"]
                 ),
+                held=held,
             )
         elif operation["op"] == "freeze":
             freeze_delta(directory)
         else:
             compact(directory)
+        load_workspace(directory, held)
 
 
 def _cold_environment(
     config: TrialConfig,
     names: dict[str, str],
     docs: Mapping[str, list[_Cells]],
+    codec: str,
     kernel: str = "auto",
 ) -> JoinEnvironment:
     """A fresh in-memory environment over the oracle's live documents.
@@ -166,7 +181,7 @@ def _cold_environment(
             [Document(i, cells) for i, cells in enumerate(docs["c2"])],
         )
     return JoinEnvironment(
-        cold1, cold2, PageGeometry(config.page_bytes), kernel=kernel
+        cold1, cold2, PageGeometry(config.page_bytes), codec=codec, kernel=kernel
     )
 
 
@@ -196,8 +211,10 @@ def run_incremental_equivalence(
         operations = _random_operations(
             rng, docs, roles, config.spec1.vocabulary_size
         )
+        codec = CODEC_NAMES[trial % len(CODEC_NAMES)]
         reproduction = {
             "base": config.reproduction(),
+            "codec": codec,
             "operations": operations,
         }
 
@@ -236,9 +253,10 @@ def run_incremental_equivalence(
                 tmp,
                 c1,
                 None if config.self_join else c2,
-                spec=EnvironmentSpec(page_bytes=config.page_bytes),
+                spec=EnvironmentSpec(page_bytes=config.page_bytes, codec=codec),
             )
-            _replay_operations(tmp, operations)
+            held: list[Any] = []
+            _replay_operations(tmp, operations, held)
             outcome.trials_run += 1
 
             # The segment layer must stand on its own after the sequence.
@@ -251,10 +269,13 @@ def run_incremental_equivalence(
                 )
 
             factory = load_workspace(tmp)
+            resident = load_workspace(tmp, held)
             for name, executor in executors.items():
                 # Sequential: full byte identity — matches, I/O, extras.
                 try:
-                    cold = executor(_cold_environment(config, names, docs), config)
+                    cold = executor(
+                        _cold_environment(config, names, docs, codec), config
+                    )
                 except InsufficientMemoryError:
                     cold = None
                 try:
@@ -270,6 +291,10 @@ def run_incremental_equivalence(
                     diverge(name, f"insufficient memory on the {side} side only")
                     continue
                 detail = result_mismatch(cold, incremental)
+                if detail is None:
+                    outcome.comparisons += 1
+                    detail = result_mismatch(cold, executor(resident.create(), config))
+                    detail = detail and f"held snapshot: {detail}"
                 if detail is not None:
                     diverge(name, detail)
                     continue
@@ -280,7 +305,7 @@ def run_incremental_equivalence(
                     factory.kernel = kernel
                     try:
                         kernel_cold = executor(
-                            _cold_environment(config, names, docs, kernel=kernel),
+                            _cold_environment(config, names, docs, codec, kernel),
                             config,
                         )
                         kernel_incremental = executor(factory.create(), config)

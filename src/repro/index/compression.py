@@ -145,9 +145,16 @@ class CompressedInvertedFile:
 
     @classmethod
     def from_inverted(cls, inverted: InvertedFile) -> "CompressedInvertedFile":
+        # An already-compressed entry (a stored payload the merged view
+        # shares with its leading segment) is canonical: it passes through.
         return cls(
             inverted.collection_name,
-            [CompressedInvertedEntry.from_entry(entry) for entry in inverted.entries],
+            [
+                entry
+                if isinstance(entry, CompressedInvertedEntry)
+                else CompressedInvertedEntry.from_entry(entry)
+                for entry in inverted.entries
+            ],
         )
 
     def entry(self, term: int) -> CompressedInvertedEntry:

@@ -186,6 +186,7 @@ class InvertedFile:
 def merge_inverted_segments(
     collection_name: str,
     parts: "list[tuple[InvertedFile, Mapping[int, int]]]",
+    kept: int = 0,
 ) -> "InvertedFile":
     """Merge per-segment inverted files into one logical inverted file.
 
@@ -199,20 +200,35 @@ def merge_inverted_segments(
 
     Terms whose every posting is tombstoned vanish entirely, exactly as
     a fresh inversion would never have created them.
+
+    The first part's documents numbered below ``kept`` map to themselves
+    (its dense run up to the first tombstone).  An entry of that part
+    whose postings all lie in the run, and whose term no later part
+    carries, *is* the merged entry — it is passed through as the same
+    object, in whatever encoding it is held, instead of being remapped
+    posting by posting and validated again.
     """
+    later_terms: set[int] = set()
+    for inverted, _ in parts[1:]:
+        later_terms.update(entry.term for entry in inverted.entries)
+    shared: list[InvertedEntry] = []
     merged: dict[int, list[tuple[int, int]]] = {}
     for inverted, doc_map in parts:
         for entry in inverted.entries:
+            postings = entry.postings
+            if postings and postings[-1][0] < kept and entry.term not in later_terms:
+                shared.append(entry)
+                continue
             cells = merged.setdefault(entry.term, [])
-            for doc_id, weight in entry.postings:
+            for doc_id, weight in postings:
                 global_id = doc_map.get(doc_id)
                 if global_id is not None:
                     cells.append((global_id, weight))
-    entries = [
-        InvertedEntry(term, tuple(cells))
-        for term, cells in sorted(merged.items())
-        if cells
+        kept = 0  # only the first part's documents keep their numbers
+    entries = shared + [
+        InvertedEntry(term, tuple(cells)) for term, cells in merged.items() if cells
     ]
+    entries.sort(key=lambda entry: entry.term)
     return InvertedFile(collection_name, entries)
 
 

@@ -207,6 +207,8 @@ class LoadedWorkspace:
     system: SystemParams
     fingerprint: str
     self_join: bool
+    #: the snapshot's loaded segments, which the next mutation need not re-read
+    segments: tuple[Any, ...] = ()
 
     def describe(self) -> dict[str, Any]:
         """A JSON-ready summary for ``GET /health``."""
@@ -275,15 +277,19 @@ class JoinService:
         self._mutations = 0
         self._workspaces: dict[str, LoadedWorkspace] = {}
         for name, directory in workspaces.items():
-            self._workspaces[name] = self._load(name, directory, buffer_pages)
+            self._workspaces[name] = self._load(name, directory, buffer_pages, [])
 
     # --- startup --------------------------------------------------------------
 
     def _load(
-        self, name: str, directory: str | Path, buffer_pages: int
+        self,
+        name: str,
+        directory: str | Path,
+        buffer_pages: int,
+        held: list[Any],
     ) -> LoadedWorkspace:
         manifest = load_manifest(directory)
-        catalog, factory = workspace_catalog(directory)
+        catalog, factory = workspace_catalog(directory, held)
         # Touch every lazy artifact once: later create() calls are pure
         # reads of the populated caches, which is what makes serving the
         # factory from many request threads safe.
@@ -298,6 +304,7 @@ class JoinService:
             ),
             fingerprint=manifest_fingerprint(manifest),
             self_join=bool(manifest["self_join"]),
+            segments=tuple(held),
         )
 
     # --- introspection --------------------------------------------------------
@@ -377,7 +384,10 @@ class JoinService:
         reloaded warm, and the service's handle is swapped in one
         assignment — queries admitted before the swap keep streaming
         from the previous in-memory snapshot, queries admitted after it
-        see the new version.  Returns the JSON-ready mutation summary.
+        see the new version.  Both steps are handed the snapshot's own
+        segments, so only files it does not hold are read; the summary's
+        ``segments_reused``/``segments_loaded`` count the new version's
+        segments either way.  Returns the JSON-ready mutation summary.
         """
         slot = self.admit()
         started = time.perf_counter()
@@ -391,23 +401,30 @@ class JoinService:
                         "POST /mutate takes INSERT or DELETE statements; "
                         "send SELECT queries to POST /query"
                     )
+                held = list(handle.segments)
                 try:
-                    stats = execute_mutation(statement, handle.directory)
+                    stats = execute_mutation(statement, handle.directory, held)
                 except WorkspaceError as exc:
                     # Batch validation failures (deleting the last
                     # document, a term outside the vocabulary bound...)
                     # are the caller's mistake, not a broken service.
                     raise ServiceRequestError(str(exc)) from exc
-                reloaded = self._load(
-                    handle.name, handle.directory, self._buffer_pages
+                reused = sum(segment.reused for segment in held)
+                applied = time.perf_counter()
+                self._workspaces[handle.name] = self._load(
+                    handle.name, handle.directory, self._buffer_pages, held
                 )
-                self._workspaces[handle.name] = reloaded
                 self._mutations += 1
             status = "ok"
             payload = stats.to_dict()
             payload["event"] = "mutation"
             payload["workspace"] = handle.name
+            payload["segments_reused"] = reused
+            payload["segments_loaded"] = len(stats.segments) - reused
+            payload["apply_seconds"] = applied - started
+            payload["swap_seconds"] = time.perf_counter() - applied
             payload["elapsed_seconds"] = time.perf_counter() - started
+            self.metrics.record_mutation(payload)
             return payload
         except BaseException as exc:
             status = error_code_for(exc)

@@ -26,6 +26,14 @@ DEFAULT_SAMPLE_LIMIT = 10_000
 #: the percentiles ``GET /metrics`` reports, in order
 REPORTED_PERCENTILES = (50, 95, 99)
 
+#: the ``/mutate`` summary fields ``GET /metrics`` totals over all mutations
+MUTATION_TOTALS = (
+    "segments_reused",
+    "segments_loaded",
+    "apply_seconds",
+    "swap_seconds",
+)
+
 
 class LatencyHistogram:
     """A bounded window of latency samples with exact percentiles.
@@ -113,6 +121,13 @@ class ServiceMetrics:
         self.rows_returned = 0
         self.blocks_streamed = 0
         self.pages_read = 0
+        self._mutations = dict.fromkeys(MUTATION_TOTALS, 0)
+
+    def record_mutation(self, summary: Mapping[str, Any]) -> None:
+        """Add one committed mutation's reuse counts and phase seconds."""
+        with self._lock:
+            for key in MUTATION_TOTALS:
+                self._mutations[key] += summary[key]
 
     def record_query(
         self,
@@ -156,6 +171,7 @@ class ServiceMetrics:
                 "by_status": dict(sorted(self._by_status.items())),
                 "rejections": dict(sorted(self._rejections.items())),
                 "latency": self._latency.snapshot(),
+                "mutations": dict(self._mutations),
                 "phase_io": phase_stats_payload(self._phase_totals),
             }
 

@@ -41,6 +41,7 @@ from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import Vocabulary
 from repro.workspace.manifest import load_manifest
 from repro.workspace.mutate import MutationBatch, MutationStats, apply_mutations
+from repro.workspace.segments import LoadedSegment
 
 #: relation name (upper-cased) to workspace collection role
 ROLE_BY_TABLE = {"R1": "c1", "R2": "c2"}
@@ -103,7 +104,7 @@ def _terms_for_text(
 
 def _insert_batch(
     statement: InsertStatement, directory: Path, manifest: dict
-) -> MutationBatch:
+) -> tuple[MutationBatch, Vocabulary | None]:
     role = _role_for(statement.table.name, manifest["self_join"])
     if statement.column != TEXT_ATTRIBUTE:
         raise SqlSemanticError(
@@ -117,7 +118,7 @@ def _insert_batch(
         _terms_for_text(text, vocabulary, position)
         for position, text in enumerate(statement.values)
     ]
-    return MutationBatch.from_term_lists(inserts={role: term_lists})
+    return MutationBatch.from_term_lists(inserts={role: term_lists}), vocabulary
 
 
 def _delete_batch(statement: DeleteStatement, manifest: dict) -> MutationBatch:
@@ -146,7 +147,9 @@ def _delete_batch(statement: DeleteStatement, manifest: dict) -> MutationBatch:
 
 
 def execute_mutation(
-    statement: Statement | str, directory: str | Path
+    statement: Statement | str,
+    directory: str | Path,
+    held: list[LoadedSegment] | None = None,
 ) -> MutationStats:
     """Apply one INSERT or DELETE statement to a workspace directory.
 
@@ -154,7 +157,10 @@ def execute_mutation(
     :class:`~repro.workspace.mutate.MutationStats` of the atomically
     committed batch; any validation failure (unknown relation or
     column, term outside the vocabulary, no matching rows, deleting the
-    last document) raises before anything is written.
+    last document) raises before anything is written.  ``held`` is
+    passed through to :func:`~repro.workspace.mutate.apply_mutations`,
+    as are the manifest and vocabulary read here, so a statement reads
+    each of them once.
     """
     if isinstance(statement, str):
         from repro.sql.parser import parse_statement
@@ -162,8 +168,9 @@ def execute_mutation(
         statement = parse_statement(statement)
     directory = Path(directory)
     manifest = load_manifest(directory)
+    vocabulary = None
     if isinstance(statement, InsertStatement):
-        batch = _insert_batch(statement, directory, manifest)
+        batch, vocabulary = _insert_batch(statement, directory, manifest)
     elif isinstance(statement, DeleteStatement):
         batch = _delete_batch(statement, manifest)
     else:
@@ -171,7 +178,9 @@ def execute_mutation(
             "execute_mutation handles INSERT and DELETE; run SELECT "
             "statements through repro.sql.execute"
         )
-    return apply_mutations(directory, batch)
+    return apply_mutations(
+        directory, batch, held=held, manifest=manifest, vocabulary=vocabulary
+    )
 
 
 __all__ = ["ROLE_BY_TABLE", "TEXT_ATTRIBUTE", "execute_mutation"]

@@ -42,6 +42,8 @@ MAX_OCCURRENCES = (1 << (8 * OCCURRENCE_BYTES)) - 1
 _DIR_MAGIC = b"TJR1"
 _DIR_HEADER = struct.Struct("<4sI")
 _DIR_OFFSET = struct.Struct("<I")
+#: one 5-byte cell: the 3-byte number as u16 low + u8 high, then the u16 weight
+_CELL = struct.Struct("<HBH")
 
 
 def cells_to_bytes(
@@ -72,16 +74,9 @@ def cells_from_bytes(data: bytes) -> tuple[tuple[int, int], ...]:
         raise DocumentFormatError(
             f"cell stream length {len(data)} is not a multiple of {D_CELL_BYTES}"
         )
-    cells = []
-    for position in range(0, len(data), D_CELL_BYTES):
-        number = int.from_bytes(
-            data[position : position + TERM_NUMBER_BYTES], "little"
-        )
-        weight = int.from_bytes(
-            data[position + TERM_NUMBER_BYTES : position + D_CELL_BYTES], "little"
-        )
-        cells.append((number, weight))
-    return tuple(cells)
+    return tuple(
+        [(low | high << 16, weight) for low, high, weight in _CELL.iter_unpack(data)]
+    )
 
 
 def _write_records(
@@ -128,17 +123,15 @@ def _read_records(base: Path) -> list[tuple[int, bytes]]:
             f"record {short_record} of {count} is incomplete "
             f"(need {table_end} bytes)"
         )
-    ends = []
+    ends = struct.unpack_from(f"<{count}I", raw, _DIR_HEADER.size)
     previous = 0
-    for index in range(count):
-        offset = _DIR_HEADER.size + index * _DIR_OFFSET.size
-        (end,) = _DIR_OFFSET.unpack_from(raw, offset)
+    for index, end in enumerate(ends):
         if end < previous:
+            offset = _DIR_HEADER.size + index * _DIR_OFFSET.size
             raise DocumentFormatError(
                 f"{dir_path}: record {index} at byte {offset}: end offset "
                 f"{end} precedes the previous record's end {previous}"
             )
-        ends.append(end)
         previous = end
     data = docs_path.read_bytes()
     if ends and ends[-1] != len(data):

@@ -16,9 +16,12 @@ from pathlib import Path
 from repro.core.environment import EnvironmentFactory
 from repro.sql.catalog import Catalog, Relation
 from repro.workspace.loader import load_workspace
+from repro.workspace.segments import LoadedSegment
 
 
-def workspace_catalog(directory: str | Path) -> tuple[Catalog, EnvironmentFactory]:
+def workspace_catalog(
+    directory: str | Path, held: list[LoadedSegment] | None = None
+) -> tuple[Catalog, EnvironmentFactory]:
     """A catalog (``R1``/``R2`` over ``Id`` + textual ``Doc``) plus its factory.
 
     ``R1.Doc`` is the workspace's inner collection and ``R2.Doc`` the
@@ -26,9 +29,10 @@ def workspace_catalog(directory: str | Path) -> tuple[Catalog, EnvironmentFactor
     collection, and a ``R1 JOIN R2`` query runs the shared-storage
     self-join path.  The returned factory is already registered with the
     catalog — queries whose plan joins exactly these collections reuse
-    its artifacts.
+    its artifacts.  ``held`` is passed through to
+    :func:`~repro.workspace.loader.load_workspace`.
     """
-    factory = load_workspace(directory)
+    factory = load_workspace(directory, held)
     catalog = Catalog()
     catalog.register(
         Relation.from_rows(

@@ -34,7 +34,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.environment import EnvironmentFactory, EnvironmentSpec
+from repro.core.environment import EnvironmentFactory
 from repro.errors import ReproError, WorkspaceError
 from repro.index.bptree import BPlusTree
 from repro.index.btree_io import layout_signature
@@ -45,7 +45,6 @@ from repro.text.vocabulary import Vocabulary
 from repro.workspace.manifest import (
     file_checksum,
     load_manifest,
-    manifest_codec,
     manifest_files,
     manifest_segments,
 )
@@ -53,12 +52,13 @@ from repro.workspace.segments import (
     LoadedSegment,
     collection_stats,
     load_segment,
+    load_segments,
+    manifest_roles,
+    manifest_spec,
+    merged_sides,
     merged_view,
+    term_tree,
 )
-
-
-def _roles(manifest: Mapping[str, Any]) -> tuple[str, ...]:
-    return ("c1",) if manifest["self_join"] else ("c1", "c2")
 
 
 def _check_sizes(directory: Path, manifest: Mapping[str, Any]) -> None:
@@ -75,14 +75,6 @@ def _check_sizes(directory: Path, manifest: Mapping[str, Any]) -> None:
             )
 
 
-def _workspace_spec(manifest: Mapping[str, Any]) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        codec=manifest_codec(manifest),
-    )
-
-
 def _is_single_clean_base(records: list[dict[str, Any]]) -> bool:
     return (
         len(records) == 1
@@ -91,7 +83,9 @@ def _is_single_clean_base(records: list[dict[str, Any]]) -> bool:
     )
 
 
-def load_workspace(directory: str | Path) -> EnvironmentFactory:
+def load_workspace(
+    directory: str | Path, held: list[LoadedSegment] | None = None
+) -> EnvironmentFactory:
     """A factory pre-populated from a workspace directory.
 
     Returns an :class:`~repro.core.environment.EnvironmentFactory` whose
@@ -104,62 +98,52 @@ def load_workspace(directory: str | Path) -> EnvironmentFactory:
     :class:`~repro.errors.DocumentFormatError` /
     :class:`~repro.errors.BPlusTreeError` with byte-level context); in a
     segmented workspace the message leads with the failing segment id.
+
+    ``held`` (:func:`~repro.workspace.segments.load_segments`) spares
+    re-reading segments the caller already has in memory and is left
+    holding this load's; the manifest alone decides what is loaded.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
     _check_sizes(directory, manifest)
-    spec = _workspace_spec(manifest)
-    roles = _roles(manifest)
-    records = manifest_segments(manifest)
-    segments = [
-        load_segment(directory, record, btree_order=manifest["btree_order"])
-        for record in records
-    ]
+    spec = manifest_spec(manifest)
+    roles = manifest_roles(manifest)
+    segments = load_segments(directory, manifest, held)
 
-    if _is_single_clean_base(records):
+    merged = not _is_single_clean_base([segment.record for segment in segments])
+    if merged:
+        views = {
+            role: (side.collection, side.inverted, side.btree)
+            for role, side in merged_sides(manifest, segments).items()
+        }
+    else:
         # The build-once fast path (every v1/v2 workspace, and any v3
         # workspace after compaction): the stored artifacts ARE the live
         # view, so they preload directly with no merge work at all.
         only = segments[0]
-        for role in roles:
-            declared = manifest["collections"][role]["n_documents"]
-            loaded = only.collections[role].n_documents
-            if loaded != declared:
-                raise WorkspaceError(
-                    f"collection {manifest['collections'][role]['name']!r} "
-                    f"loads {loaded} documents, manifest records {declared}"
-                )
-        collection2 = None if manifest["self_join"] else only.collections["c2"]
-        factory = EnvironmentFactory(only.collections["c1"], collection2, spec)
-        for side_number, role in enumerate(roles, start=1):
-            factory.preload_side(
-                side_number, only.inverted[role], only.btrees[role]
-            )
-    else:
-        sides = {
-            role: merged_view(
-                role, manifest["collections"][role]["name"], segments, spec
-            )
+        views = {
+            role: (only.collections[role], only.inverted[role], only.btrees[role])
             for role in roles
         }
-        for role in roles:
-            declared = manifest["collections"][role]["n_documents"]
-            merged = sides[role].collection.n_documents
-            if merged != declared:
-                raise WorkspaceError(
-                    f"collection {manifest['collections'][role]['name']!r} "
-                    f"merges to {merged} live documents, manifest records "
-                    f"{declared}"
-                )
-        collection2 = None if manifest["self_join"] else sides["c2"].collection
-        factory = EnvironmentFactory(sides["c1"].collection, collection2, spec)
-        for side_number, role in enumerate(roles, start=1):
-            factory.preload_merged_side(
-                side_number,
-                sides[role].inverted,
-                sides[role].btree,
-                n_segments=len(segments),
+    for role in roles:
+        declared = manifest["collections"][role]
+        found = views[role][0].n_documents
+        if found != declared["n_documents"]:
+            how = f"merges to {found} live" if merged else f"loads {found}"
+            raise WorkspaceError(
+                f"collection {declared['name']!r} {how} documents, manifest "
+                f"records {declared['n_documents']}"
             )
+    collection2 = None if manifest["self_join"] else views["c2"][0]
+    factory = EnvironmentFactory(views["c1"][0], collection2, spec)
+    for side_number, role in enumerate(roles, start=1):
+        _, inverted, btree = views[role]
+        if merged:
+            factory.preload_merged_side(
+                side_number, inverted, btree, n_segments=len(segments)
+            )
+        else:
+            factory.preload_side(side_number, inverted, btree)
 
     if manifest["vocabulary"] is not None:
         factory.vocabulary = Vocabulary.load(directory / manifest["vocabulary"])
@@ -211,13 +195,7 @@ def _verify_side(
             f"collection: {exc}"
         )
     if btree is not None:
-        fresh = BPlusTree.bulk_load(
-            [
-                (inv_entry.term, (record_id, inv_entry.document_frequency))
-                for record_id, inv_entry in enumerate(inverted.entries)
-            ],
-            order=btree_order,
-        )
+        fresh = term_tree(inverted, btree_order)
         if layout_signature(btree) != layout_signature(fresh):
             problems.append(
                 f"{context}: {name}.btree layout differs from a fresh bulk "
@@ -287,7 +265,7 @@ def verify_workspace(directory: str | Path) -> list[str]:
     if problems:
         return problems
 
-    roles = _roles(manifest)
+    roles = manifest_roles(manifest)
     records = manifest_segments(manifest)
     single_clean = _is_single_clean_base(records)
     segments: list[LoadedSegment] = []
@@ -323,7 +301,7 @@ def verify_workspace(directory: str | Path) -> list[str]:
     if problems or len(segments) != len(records):
         return problems
 
-    spec = _workspace_spec(manifest)
+    spec = manifest_spec(manifest)
     max_term = -1
     for role in roles:
         declared = manifest["collections"][role]

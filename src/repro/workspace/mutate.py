@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.core.environment import EnvironmentSpec
 from repro.errors import WorkspaceError
 from repro.storage.iostats import IOStats
 from repro.storage.pages import PageGeometry  # repro: ignore[RA-CORE-IO] -- maintenance pricing, not query I/O
@@ -49,12 +48,16 @@ from repro.workspace.manifest import (
     manifest_segments,
     manifest_version,
     save_manifest,
+    segment_fingerprint,
 )
 from repro.workspace.segments import (
     LoadedSegment,
+    collection_stats,
     load_segment,
-    merged_view,
-    segment_directory,
+    load_segments,
+    manifest_roles,
+    manifest_spec,
+    merged_sides,
     write_segment,
 )
 
@@ -138,18 +141,6 @@ class MutationStats:
         }
 
 
-def _roles(manifest: Mapping[str, Any]) -> tuple[str, ...]:
-    return ("c1",) if manifest["self_join"] else ("c1", "c2")
-
-
-def _spec_for(manifest: Mapping[str, Any]) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        codec=manifest_codec(manifest),
-    )
-
-
 def _file_pages(files: Mapping[str, Any], geometry: PageGeometry, io: IOStats) -> int:
     """Charge whole pages per checksummed file; returns the total."""
     total = 0
@@ -160,40 +151,10 @@ def _file_pages(files: Mapping[str, Any], geometry: PageGeometry, io: IOStats) -
     return total
 
 
-def _load_segments(
-    directory: Path, manifest: Mapping[str, Any]
-) -> list[LoadedSegment]:
-    return [
-        load_segment(directory, record, btree_order=manifest["btree_order"])
-        for record in manifest_segments(manifest)
-    ]
-
-
-def _merged_stats(
-    manifest: Mapping[str, Any],
-    segments: list[LoadedSegment],
-    spec: EnvironmentSpec,
-) -> tuple[dict[str, Any], dict[str, "Any"]]:
-    """Top-level collection stats plus the merged sides themselves."""
-    from repro.workspace.segments import collection_stats
-
-    stats: dict[str, Any] = {}
-    sides: dict[str, Any] = {}
-    for role in _roles(manifest):
-        name = manifest["collections"][role]["name"]
-        side = merged_view(role, name, segments, spec)
-        sides[role] = side
-        stats[role] = collection_stats(side.collection)
-    return stats, sides
-
-
-def _check_vocabulary(
-    directory: Path, manifest: Mapping[str, Any], batch: MutationBatch
-) -> None:
+def _check_vocabulary(vocabulary: Vocabulary | None, batch: MutationBatch) -> None:
     """Inserted terms must stay inside the workspace vocabulary."""
-    if manifest.get("vocabulary") is None:
+    if vocabulary is None:
         return
-    vocabulary = Vocabulary.load(directory / manifest["vocabulary"])
     for role, docs in batch.inserts.items():
         for cells in docs:
             for term, _ in cells:
@@ -203,6 +164,33 @@ def _check_vocabulary(
                         f"workspace vocabulary holds {len(vocabulary)} terms; "
                         "a frozen standard vocabulary admits no new words"
                     )
+
+
+def _publish(
+    directory: Path,
+    manifest: Mapping[str, Any],
+    collections: Mapping[str, Any],
+    records: list[dict[str, Any]],
+) -> dict[str, Any]:
+    """Atomically write the next manifest version over ``records``."""
+    vocabulary = manifest.get("vocabulary")
+    new_manifest = build_manifest(
+        page_bytes=manifest["page_bytes"],
+        btree_order=manifest["btree_order"],
+        self_join=manifest["self_join"],
+        collections=collections,
+        files={
+            name: entry
+            for name, entry in manifest["files"].items()
+            if name == vocabulary
+        },
+        vocabulary=vocabulary,
+        codec=manifest_codec(manifest),
+        segments=records,
+        version=manifest_version(manifest) + 1,
+    )
+    save_manifest(new_manifest, directory)
+    return new_manifest
 
 
 def _remove_segment_files(directory: Path, record: Mapping[str, Any]) -> None:
@@ -223,7 +211,7 @@ def _remove_segment_files(directory: Path, record: Mapping[str, Any]) -> None:
 def _validate_batch(
     manifest: Mapping[str, Any], batch: MutationBatch, live: Mapping[str, int]
 ) -> None:
-    roles = _roles(manifest)
+    roles = manifest_roles(manifest)
     for section_name, section in (("inserts", batch.inserts), ("deletes", batch.deletes)):
         unknown = sorted(set(section) - set(roles))
         if unknown:
@@ -256,7 +244,13 @@ def _validate_batch(
 
 
 def apply_mutations(
-    directory: str | Path, batch: MutationBatch, *, clamp_weights: bool = False
+    directory: str | Path,
+    batch: MutationBatch,
+    *,
+    clamp_weights: bool = False,
+    held: list[LoadedSegment] | None = None,
+    manifest: Mapping[str, Any] | None = None,
+    vocabulary: Vocabulary | None = None,
 ) -> MutationStats:
     """Apply one batch atomically; returns the page-priced summary.
 
@@ -268,27 +262,34 @@ def apply_mutations(
 
     A pre-v3 workspace is upgraded in place: its artifacts become the
     first base segment without being rewritten.
+
+    ``held`` (:func:`~repro.workspace.segments.load_segments`) spares
+    re-reading segments the caller has in memory and ends up holding the
+    committed version's; ``manifest``/``vocabulary`` are the directory's
+    own when the caller has just read them.  None changes the result.
     """
     directory = Path(directory)
-    manifest = load_manifest(directory)
+    if manifest is None:
+        manifest = load_manifest(directory)
     if batch.empty:
         raise WorkspaceError("a mutation batch must insert or delete something")
-    spec = _spec_for(manifest)
+    spec = manifest_spec(manifest)
     geometry = spec.geometry()
-    roles = _roles(manifest)
-    records = manifest_segments(manifest)
-    segments = _load_segments(directory, manifest)
-    _, sides = _merged_stats(manifest, segments, spec)
+    roles = manifest_roles(manifest)
+    segments = load_segments(directory, manifest, held)
+    sides = merged_sides(manifest, segments)
     _validate_batch(
         manifest,
         batch,
         {role: sides[role].collection.n_documents for role in roles},
     )
-    _check_vocabulary(directory, manifest, batch)
+    if vocabulary is None and manifest.get("vocabulary") is not None:
+        vocabulary = Vocabulary.load(directory / manifest["vocabulary"])
+    _check_vocabulary(vocabulary, batch)
 
     old_delta: LoadedSegment | None = None
     base_segments = segments
-    if records[-1]["kind"] == "delta":
+    if segments[-1].record["kind"] == "delta":
         old_delta = segments[-1]
         base_segments = segments[:-1]
 
@@ -381,25 +382,15 @@ def apply_mutations(
             load_segment(directory, record, btree_order=spec.btree_order)
         )
 
-    stats, _ = _merged_stats(manifest, new_segments, spec)
-    new_manifest = build_manifest(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        self_join=manifest["self_join"],
-        collections=stats,
-        files={
-            name: entry
-            for name, entry in manifest["files"].items()
-            if name == manifest.get("vocabulary")
-        },
-        vocabulary=manifest.get("vocabulary"),
-        codec=manifest_codec(manifest),
-        segments=new_records,
-        version=version,
-    )
-    save_manifest(new_manifest, directory)
+    stats = {
+        role: collection_stats(side.collection)
+        for role, side in merged_sides(manifest, new_segments).items()
+    }
+    new_manifest = _publish(directory, manifest, stats, new_records)
     if old_delta is not None:
         _remove_segment_files(directory, old_delta.record)
+    if held is not None:
+        held[:] = new_segments
     return MutationStats(
         operation="apply_mutations",
         changed=True,
@@ -434,29 +425,15 @@ def freeze_delta(directory: str | Path) -> MutationStats:
             fingerprint=manifest_fingerprint(manifest),
             segments=tuple(record["id"] for record in records),
         )
-    from repro.workspace.manifest import segment_fingerprint
-
-    version = manifest_version(manifest) + 1
     sealed = dict(records[-1])
     sealed["kind"] = "base"
     sealed["fingerprint"] = segment_fingerprint(sealed)
-    new_records = [dict(record) for record in records[:-1]] + [sealed]
-    new_manifest = build_manifest(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        self_join=manifest["self_join"],
-        collections=manifest["collections"],
-        files=manifest["files"],
-        vocabulary=manifest.get("vocabulary"),
-        codec=manifest_codec(manifest),
-        segments=new_records,
-        version=version,
-    )
-    save_manifest(new_manifest, directory)
+    new_records = records[:-1] + [sealed]
+    new_manifest = _publish(directory, manifest, manifest["collections"], new_records)
     return MutationStats(
         operation="freeze_delta",
         changed=True,
-        version=version,
+        version=manifest_version(new_manifest),
         fingerprint=manifest_fingerprint(new_manifest),
         segments=tuple(record["id"] for record in new_records),
     )
@@ -474,7 +451,7 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
     directory = Path(directory)
     manifest = load_manifest(directory)
     records = manifest_segments(manifest)
-    spec = _spec_for(manifest)
+    spec = manifest_spec(manifest)
     geometry = spec.geometry()
     already_compact = (
         manifest["schema"] == "repro-workspace/3"
@@ -491,22 +468,19 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
             segments=(records[0]["id"],),
         )
 
-    segments = _load_segments(directory, manifest)
+    segments = load_segments(directory, manifest)
     io_read = IOStats()  # repro: ignore[RA-CONTEXT] -- maintenance I/O, outside any query context
     pages_read = 0
     for record in records:
         pages_read += _file_pages(record["files"], geometry, io_read)
 
-    _, sides = _merged_stats(manifest, segments, spec)
+    sides = merged_sides(manifest, segments)
     version = manifest_version(manifest) + 1
     seg_id = f"seg-{version:06d}"
-    merged_collections = {
-        role: sides[role].collection for role in _roles(manifest)
-    }
     record = write_segment(
         directory,
         seg_id,
-        merged_collections,
+        {role: side.collection for role, side in sides.items()},
         {},
         spec,
         kind="base",
@@ -514,27 +488,8 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
     )
     io_written = IOStats()  # repro: ignore[RA-CONTEXT] -- maintenance I/O, outside any query context
     pages_written = _file_pages(record["files"], geometry, io_written)
-    from repro.workspace.segments import collection_stats
-
-    stats = {
-        role: collection_stats(sides[role].collection) for role in _roles(manifest)
-    }
-    new_manifest = build_manifest(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        self_join=manifest["self_join"],
-        collections=stats,
-        files={
-            name: entry
-            for name, entry in manifest["files"].items()
-            if name == manifest.get("vocabulary")
-        },
-        vocabulary=manifest.get("vocabulary"),
-        codec=manifest_codec(manifest),
-        segments=[record],
-        version=version,
-    )
-    save_manifest(new_manifest, directory)
+    stats = {role: collection_stats(side.collection) for role, side in sides.items()}
+    new_manifest = _publish(directory, manifest, stats, [record])
     for old in records:
         _remove_segment_files(directory, old)
     return MutationStats(

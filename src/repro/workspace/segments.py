@@ -27,9 +27,10 @@ This module is the segment layer's mechanics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import shutil
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.core.environment import EnvironmentSpec
 from repro.errors import ReproError, WorkspaceError
@@ -46,7 +47,12 @@ from repro.text.serialization import (
     save_inverted,
 )
 from repro.workspace.builder import collection_files
-from repro.workspace.manifest import file_checksum, segment_fingerprint
+from repro.workspace.manifest import (
+    file_checksum,
+    manifest_codec,
+    manifest_segments,
+    segment_fingerprint,
+)
 
 
 def segment_directory(directory: str | Path, record: Mapping[str, Any]) -> Path:
@@ -54,6 +60,20 @@ def segment_directory(directory: str | Path, record: Mapping[str, Any]) -> Path:
     directory = Path(directory)
     path = record.get("path", "")
     return directory / path if path else directory
+
+
+def manifest_roles(manifest: Mapping[str, Any]) -> tuple[str, ...]:
+    """The collection roles a workspace stores (a self-join holds one)."""
+    return ("c1",) if manifest["self_join"] else ("c1", "c2")
+
+
+def manifest_spec(manifest: Mapping[str, Any]) -> EnvironmentSpec:
+    """The physical parameters every artifact of the workspace shares."""
+    return EnvironmentSpec(
+        page_bytes=manifest["page_bytes"],
+        btree_order=manifest["btree_order"],
+        codec=manifest_codec(manifest),
+    )
 
 
 def collection_stats(collection: DocumentCollection) -> dict[str, Any]:
@@ -67,6 +87,17 @@ def collection_stats(collection: DocumentCollection) -> dict[str, Any]:
     }
 
 
+def term_tree(inverted: InvertedFile, order: int) -> BPlusTree:
+    """A fresh bulk load of ``term -> (record id, document frequency)``."""
+    return BPlusTree.bulk_load(
+        [
+            (entry.term, (record_id, entry.document_frequency))
+            for record_id, entry in enumerate(inverted.entries)
+        ],
+        order=order,
+    )
+
+
 @dataclass
 class LoadedSegment:
     """One segment's record plus its materialised per-role artifacts."""
@@ -75,6 +106,8 @@ class LoadedSegment:
     collections: dict[str, DocumentCollection] = field(default_factory=dict)
     inverted: dict[str, InvertedFile] = field(default_factory=dict)
     btrees: dict[str, BPlusTree] = field(default_factory=dict)
+    #: the artifacts came from a segment the caller held, not from disk
+    reused: bool = False
 
     @property
     def segment_id(self) -> str:
@@ -102,14 +135,25 @@ def load_segment(
     record: Mapping[str, Any],
     *,
     btree_order: int,
+    held: Sequence[LoadedSegment] = (),
 ) -> LoadedSegment:
     """Read one segment's artifacts for every role it carries.
+
+    Segment files are write-once, so a ``held`` segment whose recorded
+    checksummed ``files`` and ``codec`` equal this record's already *is*
+    the answer and nothing is read.  The segment id and fingerprint are
+    deliberately not part of the key: a freeze moves both without
+    touching a byte.
 
     Any :class:`~repro.errors.ReproError` from the artifact readers is
     re-raised with the segment id prefixed — a multi-segment workspace
     that fails to load must say *which* segment is at fault, not just
     which file.
     """
+    for segment in held:
+        mine = segment.record
+        if mine["files"] == record["files"] and mine["codec"] == record["codec"]:
+            return replace(segment, record=dict(record), reused=True)
     seg_id = record["id"]
     seg_dir = segment_directory(directory, record)
     codec = resolve_codec(record["codec"])
@@ -142,6 +186,30 @@ def load_segment(
     return loaded
 
 
+def load_segments(
+    directory: str | Path,
+    manifest: Mapping[str, Any],
+    held: list[LoadedSegment] | None = None,
+) -> list[LoadedSegment]:
+    """Load every segment the manifest lists, in order.
+
+    ``held`` is the caller's own list of segments from an earlier load
+    of this directory — a cache of file *contents*, never of what the
+    workspace *is*: the manifest decides which segments exist, ``held``
+    only spares re-reading those whose files it has (:func:`load_segment`).
+    It is replaced in place with the result, ready for the next load.
+    """
+    segments = [
+        load_segment(
+            directory, record, btree_order=manifest["btree_order"], held=held or ()
+        )
+        for record in manifest_segments(manifest)
+    ]
+    if held is not None:
+        held[:] = segments
+    return segments
+
+
 def write_segment(
     directory: str | Path,
     seg_id: str,
@@ -163,8 +231,6 @@ def write_segment(
     if seg_dir.exists():
         # A crashed earlier mutation may have left a half-written
         # directory under this (never-referenced) id; start clean.
-        import shutil
-
         shutil.rmtree(seg_dir)
     seg_dir.mkdir(parents=True)
     codec = resolve_codec(spec.codec)
@@ -177,14 +243,9 @@ def write_segment(
         save_collection(collection, seg_dir, clamp_weights=clamp_weights)
         inverted = codec.build(InvertedFile.build(collection))
         save_inverted(inverted, seg_dir, clamp_weights=clamp_weights, codec=codec)
-        btree = BPlusTree.bulk_load(
-            [
-                (entry.term, (record_id, entry.document_frequency))
-                for record_id, entry in enumerate(inverted.entries)
-            ],
-            order=spec.btree_order,
+        save_btree(
+            term_tree(inverted, spec.btree_order), seg_dir / f"{collection.name}.btree"
         )
-        save_btree(btree, seg_dir / f"{collection.name}.btree")
         file_names.extend(collection_files(collection.name))
         record_collections[role] = collection_stats(collection)
 
@@ -226,14 +287,11 @@ def tombstones_by_target(
 
 @dataclass
 class MergedSide:
-    """One role's merged live view plus per-segment bookkeeping."""
+    """One role's merged live view plus where each live document came from."""
 
     collection: DocumentCollection
     inverted: InvertedFile
     btree: BPlusTree
-    #: per segment id: how many of its documents are live / tombstoned
-    live_by_segment: dict[str, int]
-    dead_by_segment: dict[str, int]
     #: ``{(segment_id, local_doc): global_doc}`` for every live document
     global_ids: dict[tuple[str, int], int]
 
@@ -252,12 +310,17 @@ def merged_view(
     the workspace codec, and the term tree is a fresh bulk load at the
     workspace order — the same recipe
     :class:`~repro.core.environment.EnvironmentFactory` uses.
+
+    Value-identical, not a copy: a document that keeps its number (the
+    leading segment's dense run up to its first tombstone) and an entry
+    whose postings all lie in that run and whose term no later segment
+    carries are the leading segment's own objects, so the fold costs
+    O(terms + postings later segments touch), not O(all postings).
     """
     dead = tombstones_by_target([segment.record for segment in segments])
     docs: list[Document] = []
     parts: list[tuple[InvertedFile, dict[int, int]]] = []
-    live_by_segment: dict[str, int] = {}
-    dead_by_segment: dict[str, int] = {}
+    kept = 0
     global_ids: dict[tuple[str, int], int] = {}
     for segment in segments:
         seg_id = segment.segment_id
@@ -272,29 +335,39 @@ def merged_view(
             global_id = len(docs)
             doc_map[doc.doc_id] = global_id
             global_ids[(seg_id, doc.doc_id)] = global_id
-            docs.append(Document(global_id, doc.cells))
-        live_by_segment[seg_id] = len(doc_map)
-        dead_by_segment[seg_id] = len(dead_locals)
+            docs.append(
+                doc if doc.doc_id == global_id else Document(global_id, doc.cells)
+            )
+        if not parts and segment.record["codec"] == spec.codec:
+            # Entries are shared only in the workspace codec's own form.
+            kept = min(dead_locals, default=len(doc_map))
         parts.append((segment.inverted[role], doc_map))
 
     merged_collection = DocumentCollection(name, docs)
     codec = resolve_codec(spec.codec)
-    merged_inverted = codec.build(merge_inverted_segments(name, parts))
-    merged_btree = BPlusTree.bulk_load(
-        [
-            (entry.term, (record_id, entry.document_frequency))
-            for record_id, entry in enumerate(merged_inverted.entries)
-        ],
-        order=spec.btree_order,
-    )
+    merged_inverted = codec.build(merge_inverted_segments(name, parts, kept))
+    # The inverted file is the collection's transpose: its entry lengths
+    # are the document frequencies a scan of every d-cell would count.
+    merged_collection._document_frequency = {
+        entry.term: entry.document_frequency for entry in merged_inverted.entries
+    }
     return MergedSide(
         collection=merged_collection,
         inverted=merged_inverted,
-        btree=merged_btree,
-        live_by_segment=live_by_segment,
-        dead_by_segment=dead_by_segment,
+        btree=term_tree(merged_inverted, spec.btree_order),
         global_ids=global_ids,
     )
+
+
+def merged_sides(
+    manifest: Mapping[str, Any], segments: list[LoadedSegment]
+) -> dict[str, MergedSide]:
+    """The merged live view of every role the workspace stores."""
+    spec = manifest_spec(manifest)
+    return {
+        role: merged_view(role, manifest["collections"][role]["name"], segments, spec)
+        for role in manifest_roles(manifest)
+    }
 
 
 __all__ = [
@@ -302,8 +375,13 @@ __all__ = [
     "MergedSide",
     "collection_stats",
     "load_segment",
+    "load_segments",
+    "manifest_roles",
+    "manifest_spec",
+    "merged_sides",
     "merged_view",
     "segment_directory",
+    "term_tree",
     "tombstones_by_target",
     "write_segment",
 ]

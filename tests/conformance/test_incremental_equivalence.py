@@ -36,6 +36,29 @@ class TestTeeth:
         assert any("differ" in d.detail for d in outcome.divergences)
 
 
+    def test_catches_a_held_snapshot_that_went_stale(self, monkeypatch):
+        """The held axis: a reuse-path load that keeps answering with what
+        the workspace *was* must diverge from the cold rebuild."""
+        from repro.conformance import incrementalcheck
+
+        real = incrementalcheck.load_workspace
+        first: dict = {}
+
+        def sticky(directory, held=None):
+            if held is None:
+                return real(directory)
+            if str(directory) not in first:
+                first[str(directory)] = real(directory, held)
+            return first[str(directory)]
+
+        monkeypatch.setattr(incrementalcheck, "load_workspace", sticky)
+        outcome = run_incremental_equivalence(
+            seed=7, trials=3, kernels=(), shard_counts=(), fail_fast=True
+        )
+        assert not outcome.passed
+        assert any(d.detail.startswith("held snapshot:") for d in outcome.divergences)
+
+
 class TestRunnerIntegration:
     def test_selected_through_run_conformance(self):
         report = run_conformance(

@@ -101,6 +101,38 @@ def roomy_system() -> SystemParams:
     return SystemParams(buffer_pages=256, page_bytes=SMALL_PAGE, alpha=5.0)
 
 
+@pytest.fixture()
+def file_reads(monkeypatch):
+    """Start recording every file opened for reading; returns the path list.
+
+    Spies on ``Path.open`` (which ``read_bytes``/``read_text`` go through)
+    and the builtin ``open``; call ``monkeypatch.undo()`` to stop early.
+    """
+    import builtins
+
+    def start() -> list[str]:
+        reads: list[str] = []
+        real_open, real_path_open = builtins.open, Path.open
+
+        def note(file, mode):
+            if "r" in mode and "+" not in mode:
+                reads.append(str(file))
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            note(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_path_open(path, mode="r", *args, **kwargs):
+            note(path, mode)
+            return real_path_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(Path, "open", spy_path_open)
+        return reads
+
+    return start
+
+
 # --- join-service fixtures (tests/service/) -----------------------------
 
 

@@ -8,7 +8,10 @@ the live documents' d-cells in merged order.  After the sequence:
 * a text join over the mutated workspace must equal the same join over
   an in-memory environment built cold from the model;
 * :func:`~repro.workspace.loader.verify_workspace` must report a clean
-  workspace after every freeze and compaction (and at the end).
+  workspace after every freeze and compaction (and at the end);
+* a *held snapshot* — mutations and loads handed the segments the
+  previous step ended on, the way a resident service runs them — must
+  equal a cold ``load_workspace`` after every single step.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hhnl import run_hhnl
+from repro.core.hvnl import run_hvnl
 from repro.core.integrated import IntegratedJoin
 from repro.core.join import JoinEnvironment, TextJoinSpec
+from repro.core.vvm import run_vvm
 from repro.cost.params import SystemParams
+from repro.index.btree_io import layout_signature
 from repro.storage.pages import PageGeometry
 from repro.text.collection import DocumentCollection
 from repro.text.document import Document
@@ -149,3 +156,63 @@ def test_verify_stays_clean_under_any_interleaving(tmp_path_factory, operations)
         else:
             compact(directory)
         assert verify_workspace(directory) == []
+
+
+def _observable(factory) -> dict:
+    """Everything downstream code can see of a loaded workspace."""
+    system = SystemParams(buffer_pages=64, page_bytes=PAGE_BYTES)
+    spec = TextJoinSpec(lam=2)
+    seen = {
+        "documents": [(doc.doc_id, doc.cells) for doc in factory.collection1],
+        "entries": [
+            (entry.term, entry.postings, entry.n_bytes)
+            for entry in factory.inverted(1).entries
+        ],
+        "btree": layout_signature(factory.btree(1)),
+        "stats": factory.stats(1),
+        "build_log": list(factory.build_log),
+    }
+    for name, run in (("HHNL", run_hhnl), ("HVNL", run_hvnl), ("VVM", run_vvm)):
+        result = run(factory.create(), spec, system)
+        seen[name] = (result.matches, result.io.by_extent, result.extras)
+    return seen
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    codec=st.sampled_from(("raw", "vbyte")),
+    initial=st.lists(_term_list, min_size=2, max_size=6),
+    operations=st.lists(_operation, min_size=1, max_size=5),
+)
+def test_held_snapshot_equals_cold_load_after_every_step(
+    tmp_path_factory, codec, initial, operations
+):
+    from repro.core.environment import EnvironmentSpec
+
+    directory = tmp_path_factory.mktemp("prop-held") / "ws"
+    model = [Document.from_terms(0, terms).cells for terms in initial]
+    collection = DocumentCollection(
+        "prop-c1", [Document(i, cells) for i, cells in enumerate(model)]
+    )
+    build_workspace(
+        directory,
+        collection,
+        None,
+        spec=EnvironmentSpec(page_bytes=PAGE_BYTES, codec=codec),
+    )
+    held: list = []
+    load_workspace(directory, held)
+
+    for operation in operations:
+        if operation[0] == "mutate":
+            batch = _apply_to_model(model, operation)
+            if batch is not None:
+                apply_mutations(directory, batch, held=held)
+        elif operation[0] == "freeze":
+            freeze_delta(directory)
+        else:
+            compact(directory)
+        warm = load_workspace(directory, held)
+        assert [doc.cells for doc in warm.collection1] == model
+        assert _observable(warm) == _observable(load_workspace(directory))
+    assert verify_workspace(directory) == []

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.workloads.synthetic import SyntheticSpec, generate_collection
-from repro.workspace import build_workspace, load_manifest
+from repro.workspace import MANIFEST_NAME, build_workspace, load_manifest
 
 JOIN_SQL = "SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO(3) R2.Doc"
 
@@ -101,6 +101,16 @@ class TestMutateEndpoint:
         assert payload["mutations"] == 2
 
 
+    def test_response_and_metrics_carry_the_reuse_counts(self, mutable_service):
+        handle, _ = mutable_service
+        _, payload = mutate(handle, "INSERT INTO R1 (Doc) VALUES ('1 2')")
+        assert (payload["segments_reused"], payload["segments_loaded"]) == (1, 1)
+        status, metrics = handle.get("/metrics")
+        assert status == 200
+        assert metrics["mutations"]["segments_reused"] == 1
+        assert metrics["mutations"]["swap_seconds"] == payload["swap_seconds"]
+
+
 class TestMutateFailures:
     def test_select_is_a_bad_request(self, mutable_service):
         handle, _ = mutable_service
@@ -146,3 +156,155 @@ class TestMutateFailures:
         status, document = handle.query({"sql": JOIN_SQL})
         assert status == 200
         assert document["summary"]["rows"] >= 0
+
+
+# --- warm mutations: what a mutate reads, and what it may share ---------------
+
+
+@pytest.fixture()
+def resident(tmp_path):
+    """An in-process service over a private vocabulary workspace."""
+    from repro.service import JoinService
+    from repro.text.collection import DocumentCollection
+    from repro.text.tokenizer import Tokenizer
+    from repro.text.vocabulary import Vocabulary
+
+    words = [f"w{i:03d}x" for i in range(60)]
+    texts1 = [" ".join(words[(3 * d + k) % 60] for k in range(7)) for d in range(30)]
+    texts2 = [" ".join(words[(5 * d + k) % 60] for k in range(6)) for d in range(24)]
+    vocabulary = Vocabulary()
+    tokenizer = Tokenizer()
+    c1 = DocumentCollection.from_texts("res-c1", texts1, vocabulary, tokenizer)
+    c2 = DocumentCollection.from_texts("res-c2", texts2, vocabulary, tokenizer)
+    vocabulary.freeze()
+    directory = tmp_path / "ws"
+    build_workspace(directory, c1, c2, vocabulary=vocabulary)
+    return JoinService({"ws": str(directory)}, max_workers=4), directory, words
+
+
+def _request(sql):
+    from repro.service import MutateRequest
+
+    return MutateRequest(sql=sql, workspace="ws")
+
+
+def _rows(service, sql=JOIN_SQL):
+    from repro.service import QueryRequest
+
+    return [
+        tuple(row)
+        for event in service.stream(QueryRequest(sql=sql, workspace="ws"))
+        if event["event"] == "block"
+        for row in event["rows"]
+    ]
+
+
+def _cold_rows(directory, sql=JOIN_SQL):
+    """The same query over a fresh catalog: nothing held, nothing shared."""
+    from repro.cost.params import SystemParams
+    from repro.sql import execute
+    from repro.workspace import workspace_catalog
+
+    catalog, factory = workspace_catalog(directory)
+    system = SystemParams(buffer_pages=256, page_bytes=factory.spec.page_bytes)
+    return [tuple(row) for row in execute(sql, catalog, system).rows]
+
+
+class TestWarmMutate:
+    def test_summary_and_metrics_say_what_was_reused(self, resident):
+        service, directory, words = resident
+        first = service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]}')"))
+        # the build-once base was held from start-up; the delta is new
+        assert (first["segments_reused"], first["segments_loaded"]) == (1, 1)
+        second = service.mutate(_request("DELETE FROM R2 WHERE Id = 2"))
+        assert (second["segments_reused"], second["segments_loaded"]) == (1, 1)
+        for payload in (first, second):
+            assert payload["apply_seconds"] > 0 and payload["swap_seconds"] > 0
+            assert (
+                payload["apply_seconds"] + payload["swap_seconds"]
+                <= payload["elapsed_seconds"]
+            )
+        totals = service.metrics.snapshot()["mutations"]
+        assert totals["segments_reused"] == 2 and totals["segments_loaded"] == 2
+        assert totals["apply_seconds"] == pytest.approx(
+            first["apply_seconds"] + second["apply_seconds"]
+        )
+
+    def test_first_write_after_a_compaction_is_visibly_cold(self, resident):
+        from repro.workspace import compact, freeze_delta
+
+        service, directory, words = resident
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]}')"))
+        freeze_delta(directory)  # behind the server's back, as the spine does
+        frozen = service.mutate(_request(f"INSERT INTO R2 (Doc) VALUES ('{words[2]}')"))
+        # the sealed delta's fingerprint moved but its files did not
+        assert (frozen["segments_reused"], frozen["segments_loaded"]) == (2, 1)
+        compact(directory)
+        cold = service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[3]}')"))
+        assert (cold["segments_reused"], cold["segments_loaded"]) == (0, 2)
+        warm = service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[4]}')"))
+        assert (warm["segments_reused"], warm["segments_loaded"]) == (1, 1)
+        assert _rows(service) == _cold_rows(directory)
+
+    def test_warm_mutate_opens_no_file_of_a_held_segment(
+        self, resident, file_reads, monkeypatch
+    ):
+        from repro.cost import delta_rewrite_pages
+        from repro.workspace import manifest_segments
+
+        service, directory, words = resident
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]} {words[9]}')"))
+        before = load_manifest(directory)
+        base, old_delta = manifest_segments(before)
+        assert old_delta["kind"] == "delta" and delta_rewrite_pages(before) > 0
+
+        reads = file_reads()
+        summary = service.mutate(
+            _request(f"INSERT INTO R2 (Doc) VALUES ('{words[5]} {words[7]}')")
+        )
+        monkeypatch.undo()
+
+        after = load_manifest(directory)
+        new_delta = manifest_segments(after)[-1]
+        allowed = {
+            str(directory / name)
+            for name in (
+                MANIFEST_NAME,
+                before["vocabulary"],
+                *old_delta["files"],  # what delta_rewrite_pages prices
+                *new_delta["files"],
+            )
+        }
+        assert set(reads) <= allowed, sorted(set(reads) - allowed)
+        held = {str(directory / name) for name in base["files"]}
+        assert held and not held & set(reads)
+        # one parse per statement, one per snapshot load
+        assert reads.count(str(directory / before["vocabulary"])) == 2
+        # the pages charged are the manifest's, not what Python opened
+        assert summary["pages_read"] == delta_rewrite_pages(before)
+        assert _rows(service) == _cold_rows(directory)
+
+    def test_in_flight_reader_finishes_on_its_own_snapshot(self, resident):
+        """The new snapshot shares documents and entries with the old one;
+        a stream that began before the swap must not notice."""
+        from repro.service import QueryRequest
+
+        service, directory, words = resident
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]}')"))
+        expected = _cold_rows(directory)
+        events = service.stream(QueryRequest(sql=JOIN_SQL, workspace="ws"))
+        streamed = []
+        for event in events:
+            if event["event"] == "block":
+                streamed.extend(tuple(row) for row in event["rows"])
+                break  # mid-stream: some blocks out, most still to come
+        old_docs = service._workspaces["ws"].factory.collection1.documents
+        service.mutate(_request("DELETE FROM R1 WHERE Id = 29"))
+        service.mutate(_request(f"INSERT INTO R2 (Doc) VALUES ('{words[2]} {words[3]}')"))
+        new_docs = service._workspaces["ws"].factory.collection1.documents
+        assert new_docs[0] is old_docs[0]  # really shared, not copied
+        for event in events:
+            if event["event"] == "block":
+                streamed.extend(tuple(row) for row in event["rows"])
+        assert streamed == expected
+        assert _rows(service) == _cold_rows(directory) != expected

@@ -145,6 +145,16 @@ class TestVocabularyWorkspace:
             )
 
 
+    def test_a_statement_reads_each_small_file_once(self, prose_workspace, file_reads):
+        from repro.workspace import MANIFEST_NAME, VOCABULARY_NAME
+
+        execute_mutation("INSERT INTO R2 (Doc) VALUES ('lazy fox')", prose_workspace)
+        reads = file_reads()
+        execute_mutation("INSERT INTO R1 (Doc) VALUES ('quick brown dogs')", prose_workspace)
+        for name in (MANIFEST_NAME, VOCABULARY_NAME):
+            assert reads.count(str(prose_workspace / name)) == 1, name
+
+
 class TestSelfJoinWorkspace:
     @pytest.fixture()
     def self_ws(self, tmp_path):

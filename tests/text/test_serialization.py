@@ -47,6 +47,33 @@ class TestCellCodec:
         with pytest.raises(DocumentFormatError):
             cells_from_bytes(b"\x00\x01\x02")
 
+    @pytest.mark.parametrize("length", [1, 4, 6, 11])
+    def test_misaligned_stream_message_names_the_length(self, length):
+        with pytest.raises(
+            DocumentFormatError,
+            match=f"cell stream length {length} is not a multiple of 5",
+        ):
+            cells_from_bytes(bytes(length))
+
+    def test_decode_matches_the_byte_at_a_time_reference(self):
+        """The struct decode splits the 3-byte number as u16 + u8: pin it
+        against plain ``int.from_bytes`` around every field boundary."""
+        numbers = (0, 1, 255, 256, 65_535, 65_536, 65_537, MAX_TERM_NUMBER - 1,
+                   MAX_TERM_NUMBER)
+        weights = (1, 255, 256, MAX_OCCURRENCES - 1, MAX_OCCURRENCES)
+        cells = tuple((n, w) for n in numbers for w in weights)
+        data = cells_to_bytes(cells)
+        reference = tuple(
+            (
+                int.from_bytes(data[at : at + 3], "little"),
+                int.from_bytes(data[at + 3 : at + 5], "little"),
+            )
+            for at in range(0, len(data), 5)
+        )
+        decoded = cells_from_bytes(data)
+        assert decoded == reference == cells
+        assert all(type(cell) is tuple for cell in decoded)
+
 
 class TestClampBoundaries:
     """clamp_weights at the exact edges of the 2-byte/3-byte cells."""

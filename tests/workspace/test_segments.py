@@ -1,15 +1,22 @@
 """The segment layer: write/load round trips, merged views, error context."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.environment import EnvironmentSpec
 from repro.errors import ReproError
+from repro.index.btree_io import layout_signature
+from repro.index.codecs import resolve_codec
+from repro.index.inverted import InvertedFile
 from repro.text.collection import DocumentCollection
 from repro.workspace import (
+    LoadedSegment,
     load_segment,
     merged_view,
     write_segment,
 )
+from repro.workspace.segments import term_tree
 
 
 @pytest.fixture()
@@ -144,3 +151,162 @@ class TestMergedView:
         side = merged_view("c1", "merged", segments, spec)
         cold = InvertedFile.build(side.collection)
         assert side.inverted.entries == cold.entries
+
+
+def _side_facts(side):
+    return (
+        [(d.doc_id, d.cells) for d in side.collection],
+        [(e.term, e.postings, e.n_bytes) for e in side.inverted.entries],
+        side.collection.document_frequency(),
+    )
+
+
+class TestSharedMerge:
+    """The merged view shares its leading base instead of copying it."""
+
+    BASE = [[1, 2], [2, 3], [3, 3, 4], [4, 5], [1, 9]]
+
+    def _merged(self, tmp_path, codec, tombstoned=(), inserted=()):
+        spec = EnvironmentSpec(page_bytes=512, codec=codec)
+        base = write_segment(
+            tmp_path,
+            "seg-000000",
+            {"c1": DocumentCollection.from_term_lists("m", self.BASE)},
+            {},
+            spec,
+            kind="base",
+        )
+        delta = write_segment(
+            tmp_path,
+            "seg-000001",
+            {"c1": DocumentCollection.from_term_lists("m", list(inserted))},
+            {"c1": [("seg-000000", doc) for doc in tombstoned]},
+            spec,
+        )
+        segments = [
+            load_segment(tmp_path, record, btree_order=spec.btree_order)
+            for record in (base, delta)
+        ]
+        side = merged_view("c1", "m", segments, spec)
+        live = [t for i, t in enumerate(self.BASE) if i not in tombstoned]
+        cold = DocumentCollection.from_term_lists("m", live + list(inserted))
+        cold_side = SimpleNamespace(
+            collection=cold,
+            inverted=resolve_codec(codec).build(InvertedFile.build(cold)),
+        )
+        assert _side_facts(side) == _side_facts(cold_side)
+        assert layout_signature(side.btree) == layout_signature(
+            term_tree(side.inverted, spec.btree_order)
+        )
+        return segments[0], side
+
+    @pytest.mark.parametrize("codec", ["raw", "vbyte"])
+    @pytest.mark.parametrize(
+        "tombstoned, inserted",
+        [
+            ((0,), ()),                    # the first document
+            ((2,), ()),                    # a middle one
+            ((4,), ()),                    # the last one
+            ((1,), ([2, 7], [11])),        # delete, then insert
+            ((4,), ([5],)),                # term 9 loses its every posting
+            ((), ([1, 4, 12],)),           # insert only
+            ((0, 1, 2, 3), ([8],)),        # nearly everything dies
+        ],
+    )
+    def test_tombstones_equal_a_cold_build(self, tmp_path, codec, tombstoned, inserted):
+        base, side = self._merged(tmp_path, codec, tombstoned, inserted)
+        if tombstoned == (4,):
+            assert 9 not in side.inverted
+
+    @pytest.mark.parametrize("codec", ["raw", "vbyte"])
+    def test_untouched_prefix_is_shared_not_copied(self, tmp_path, codec):
+        base, side = self._merged(tmp_path, codec, (3,), ([2, 12],))
+        # documents 0..2 keep their numbers: same objects; 4 renumbers to 3
+        for doc_id in range(3):
+            assert side.collection[doc_id] is base.collections["c1"][doc_id]
+        assert side.collection[3] is not base.collections["c1"][4]
+        # term 3 lives wholly in the prefix and the delta never mentions it
+        assert side.inverted.entry(3) is base.inverted["c1"].entry(3)
+        # term 2 is carried by the delta; 4 and 1 reach past the tombstone
+        for term in (2, 4, 1):
+            assert side.inverted.entry(term) is not base.inverted["c1"].entry(term)
+        assert 5 not in side.inverted  # its only document died
+
+    def test_entries_of_another_codec_are_not_shared(self, tmp_path):
+        base_spec = EnvironmentSpec(page_bytes=512, codec="vbyte")
+        record = write_segment(
+            tmp_path,
+            "seg-000000",
+            {"c1": DocumentCollection.from_term_lists("m", self.BASE)},
+            {},
+            base_spec,
+            kind="base",
+        )
+        segment = load_segment(tmp_path, record, btree_order=base_spec.btree_order)
+        raw = merged_view("c1", "m", [segment], EnvironmentSpec(page_bytes=512))
+        cold = InvertedFile.build(DocumentCollection.from_term_lists("m", self.BASE))
+        assert [(e.term, e.postings, e.n_bytes) for e in raw.inverted.entries] == [
+            (e.term, e.postings, e.n_bytes) for e in cold.entries
+        ]
+
+
+class TestHeldSegments:
+    """load_segment hands back what the caller holds — keyed on the files."""
+
+    def _written(self, tmp_path, spec, seg_id="seg-000001", docs=((1, 2), (2, 3))):
+        record = write_segment(
+            tmp_path,
+            seg_id,
+            {"c1": DocumentCollection.from_term_lists("h", [list(d) for d in docs])},
+            {},
+            spec,
+        )
+        return record, load_segment(tmp_path, record, btree_order=spec.btree_order)
+
+    def test_matching_files_are_reused_without_reading(self, tmp_path, spec):
+        import shutil
+
+        record, held = self._written(tmp_path, spec)
+        shutil.rmtree(tmp_path / "seg-000001")  # any read would now fail
+        again = load_segment(
+            tmp_path, record, btree_order=spec.btree_order, held=[held]
+        )
+        assert again.reused and not held.reused
+        assert again.collections is held.collections
+        assert again.inverted is held.inverted and again.btrees is held.btrees
+
+    def test_reuse_survives_a_freeze(self, tmp_path, spec):
+        from repro.workspace import segment_fingerprint
+
+        record, held = self._written(tmp_path, spec)
+        sealed = dict(record, kind="base")
+        sealed["fingerprint"] = segment_fingerprint(sealed)
+        assert sealed["fingerprint"] != record["fingerprint"]
+        again = load_segment(
+            tmp_path, sealed, btree_order=spec.btree_order, held=[held]
+        )
+        assert again.reused
+        assert again.record == sealed and held.record == record
+
+    def test_same_id_with_another_checksum_is_re_read(self, tmp_path, spec):
+        _, held = self._written(tmp_path, spec)
+        # the same segment id written again with different documents
+        record, fresh = self._written(tmp_path, spec, docs=((7,), (8, 9)))
+        assert record["id"] == held.record["id"]
+        assert record["files"] != held.record["files"]
+        again = load_segment(
+            tmp_path, record, btree_order=spec.btree_order, held=[held]
+        )
+        assert not again.reused
+        assert [d.cells for d in again.collections["c1"]] == [
+            d.cells for d in fresh.collections["c1"]
+        ]
+
+    def test_another_codec_is_re_read(self, tmp_path, spec):
+        record, held = self._written(tmp_path, spec)
+        claimed = dict(held.record, codec="vbyte")
+        stale = LoadedSegment(claimed, held.collections, held.inverted, held.btrees)
+        again = load_segment(
+            tmp_path, record, btree_order=spec.btree_order, held=[stale]
+        )
+        assert not again.reused
