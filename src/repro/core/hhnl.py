@@ -117,7 +117,6 @@ def iter_hhnl(
                         else:
                             disk.stats.record(docs2.name, sequential=new_pages)
                         pages_read_through = last_page
-            trackers = {doc_id: TopK(spec.lam) for doc_id in chunk_ids}
             scorer = kernels.chunk_scorer(chunk_docs)
             n_chunk = len(chunk_ids)
 
@@ -150,20 +149,13 @@ def iter_hhnl(
                     # as the original per-pair loop charged them.
                     cpu_ops += scorer.total_terms + n_chunk * inner_doc.n_terms
                     scorer.collect(inner_doc)
-                for position, outer_id in enumerate(chunk_ids):
-                    tracker = trackers[outer_id]
-                    chunk_norm = norms2[outer_id] if norms2 is not None else 0.0
-                    for inner_id, similarity in scorer.ranked_candidates(
-                        position, spec.lam, prepared_norms1, chunk_norm
-                    ):
-                        tracker.offer(inner_id, similarity)
+                norms = [norms2[d] if norms2 is not None else 0.0 for d in chunk_ids]
+                ranked = scorer.ranked_matches(spec.lam, prepared_norms1, norms)
 
             # The chunk's inner scan is complete: every buffered outer
             # document's top-lambda set is final — emit the blocks.
-            for doc_id, tracker in trackers.items():
-                yield ctx.emit(
-                    MatchBlock(outer_doc=doc_id, matches=tuple(tracker.results()))
-                )
+            for doc_id, matches in zip(chunk_ids, ranked):
+                yield ctx.emit(MatchBlock(outer_doc=doc_id, matches=matches))
 
     return StreamSummary(
         algorithm="HHNL",

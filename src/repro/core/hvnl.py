@@ -39,7 +39,6 @@ from repro.core.join import (
     resolve_outer_ids,
     scan_with_block_seeks,
 )
-from repro.core.topk import TopK
 from repro.cost.params import QueryParams, SystemParams
 from repro.errors import InsufficientMemoryError, JoinError
 from repro.exec.context import ExecutionContext, ensure_context
@@ -226,45 +225,40 @@ def iter_hvnl(
             outer_id, outer_doc = item
             accumulator.clear()
             with ctx.phase("hvnl.probe"):
-                # Resident-first term order (Section 4.2's reuse optimisation).
-                resident_terms: list[tuple[int, int]] = []
-                absent_terms: list[tuple[int, int]] = []
+                # Resident-first term order (Section 4.2's reuse optimisation):
+                # every lookup precedes every insert, so a term fetched for
+                # this document cannot evict an entry it still needs.
+                entries, weights, absent_terms = [], [], []
                 for term, weight in outer_doc.cells:
-                    (resident_terms if term in buffer else absent_terms).append(
-                        (term, weight)
-                    )
-
-                for term, weight in resident_terms + absent_terms:
                     entry = buffer.get(term)
                     if entry is None:
-                        location = btree1.search(term)
-                        if location is None:
-                            continue  # term does not appear in C1
-                        record_id, _df1 = location
-                        entry = disk.read_record(inv1_extent, record_id)
-                        entries_fetched += 1
-                        buffer.insert(
-                            term,
-                            entry,
-                            entry.n_bytes + TERM_NUMBER_BYTES,
-                            priority=df2.get(term, 0),
-                        )
-                    # One accumulation per posting before filtering, exactly
-                    # as the original loop charged them.
-                    cpu_ops += len(entry.postings)
-                    accumulator.add_entry(entry, weight)
+                        absent_terms.append((term, weight))
+                    else:
+                        entries.append(entry)
+                        weights.append(weight)
+                for term, weight in absent_terms:
+                    location = btree1.search(term)
+                    if location is None:
+                        continue  # term does not appear in C1
+                    entry = disk.read_record(inv1_extent, location[0])
+                    entries_fetched += 1
+                    buffer.insert(
+                        term,
+                        entry,
+                        entry.n_bytes + TERM_NUMBER_BYTES,
+                        priority=df2.get(term, 0),
+                    )
+                    entries.append(entry)
+                    weights.append(weight)
+                # One accumulation per posting before filtering, exactly
+                # as the original loop charged them.
+                cpu_ops += accumulator.add_entries(entries, weights)
 
-            tracker = TopK(spec.lam)
             outer_norm = norms2[outer_id] if norms2 is not None else 0.0
-            for inner_id, similarity in accumulator.ranked_candidates(
-                spec.lam, prepared_norms1, outer_norm
-            ):
-                tracker.offer(inner_id, similarity)
             # This outer document's accumulator is ranked: its top-lambda
             # set is final — emit before touching the next document.
-            yield ctx.emit(
-                MatchBlock(outer_doc=outer_id, matches=tuple(tracker.results()))
-            )
+            matches = accumulator.ranked_matches(spec.lam, prepared_norms1, outer_norm)
+            yield ctx.emit(MatchBlock(outer_doc=outer_id, matches=matches))
 
     return StreamSummary(
         algorithm="HVNL",

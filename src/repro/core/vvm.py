@@ -32,7 +32,6 @@ from repro.core.join import (
     resolve_inner_ids,
     resolve_outer_ids,
 )
-from repro.core.topk import TopK
 from repro.cost.params import QueryParams, SystemParams
 from repro.cost.vvm import vvm_passes
 from repro.errors import JoinError
@@ -139,16 +138,12 @@ def iter_vvm(
 
             # This partition's merge pass is done: its accumulator rows are
             # final, so the whole chunk can be ranked and flushed now.
-            for outer_doc in chunk:
-                tracker = TopK(spec.lam)
-                outer_norm = norms2[outer_doc] if norms2 is not None else 0.0
-                for inner_doc, similarity in accumulator.row_ranked(
-                    outer_doc, spec.lam, prepared_norms1, outer_norm
-                ):
-                    tracker.offer(inner_doc, similarity)
-                yield ctx.emit(
-                    MatchBlock(outer_doc=outer_doc, matches=tuple(tracker.results()))
-                )
+            outer_norms = [norms2[d] if norms2 is not None else 0.0 for d in chunk]
+            ranked = accumulator.ranked_matches(
+                chunk, spec.lam, prepared_norms1, outer_norms
+            )
+            for outer_doc, matches in zip(chunk, ranked):
+                yield ctx.emit(MatchBlock(outer_doc=outer_doc, matches=matches))
             peak_cells_overall = max(peak_cells_overall, accumulator.peak_cells)
 
     n1 = environment.collection1.n_documents

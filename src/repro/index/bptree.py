@@ -15,6 +15,7 @@ stand on its own.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from repro.constants import BTREE_CELL_BYTES
@@ -39,18 +40,6 @@ class _Internal:
         self.children: list[_Leaf | _Internal] = []
 
 
-def _find_child(node: _Internal, key: int) -> int:
-    """Index of the child subtree that may contain ``key``."""
-    lo, hi = 0, len(node.keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < node.keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _group_sizes(total: int, *, max_size: int, min_size: int) -> list[int]:
     """Split ``total`` items into groups of ``<= max_size``.
 
@@ -72,17 +61,6 @@ def _group_sizes(total: int, *, max_size: int, min_size: int) -> list[int]:
     return sizes
 
 
-def _leaf_position(leaf: _Leaf, key: int) -> int:
-    lo, hi = 0, len(leaf.keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if leaf.keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 class BPlusTree:
     """Order-``order`` B+-tree mapping int keys to arbitrary values.
 
@@ -102,8 +80,9 @@ class BPlusTree:
     def search(self, key: int) -> Any | None:
         """The value stored under ``key``, or ``None``."""
         leaf = self._descend(key)
-        pos = _leaf_position(leaf, key)
-        if pos < len(leaf.keys) and leaf.keys[pos] == key:
+        keys = leaf.keys
+        pos = bisect_left(keys, key)
+        if pos < len(keys) and keys[pos] == key:
             return leaf.values[pos]
         return None
 
@@ -115,7 +94,7 @@ class BPlusTree:
         if lo > hi:
             return
         leaf: _Leaf | None = self._descend(lo)
-        pos = _leaf_position(leaf, lo)
+        pos = bisect_left(leaf.keys, lo)
         while leaf is not None:
             while pos < len(leaf.keys):
                 key = leaf.keys[pos]
@@ -157,7 +136,8 @@ class BPlusTree:
     def _descend(self, key: int) -> _Leaf:
         node: _Leaf | _Internal = self._root
         while isinstance(node, _Internal):
-            node = node.children[_find_child(node, key)]
+            # the child subtree that may contain ``key``
+            node = node.children[bisect_right(node.keys, key)]
         return node
 
     # --- insertion -----------------------------------------------------------
@@ -176,7 +156,7 @@ class BPlusTree:
         self, node: _Leaf | _Internal, key: int, value: Any, replace: bool
     ) -> tuple[int, _Leaf | _Internal] | None:
         if isinstance(node, _Leaf):
-            pos = _leaf_position(node, key)
+            pos = bisect_left(node.keys, key)
             if pos < len(node.keys) and node.keys[pos] == key:
                 if not replace:
                     raise BPlusTreeError(f"duplicate key {key}")
@@ -188,7 +168,7 @@ class BPlusTree:
             if len(node.keys) <= self.order:
                 return None
             return self._split_leaf(node)
-        child_index = _find_child(node, key)
+        child_index = bisect_right(node.keys, key)
         result = self._insert(node.children[child_index], key, value, replace)
         if result is None:
             return None
@@ -236,14 +216,14 @@ class BPlusTree:
 
     def _delete(self, node: _Leaf | _Internal, key: int) -> Any:
         if isinstance(node, _Leaf):
-            pos = _leaf_position(node, key)
+            pos = bisect_left(node.keys, key)
             if pos >= len(node.keys) or node.keys[pos] != key:
                 raise BPlusTreeError(f"key {key} not found")
             node.keys.pop(pos)
             value = node.values.pop(pos)
             self._size -= 1
             return value
-        child_index = _find_child(node, key)
+        child_index = bisect_right(node.keys, key)
         value = self._delete(node.children[child_index], key)
         self._rebalance(node, child_index)
         return value
@@ -418,7 +398,7 @@ class BPlusTree:
         depth = 1
         node: _Leaf | _Internal = self._root
         while isinstance(node, _Internal):
-            node = node.children[_find_child(node, target.keys[0])] if target.keys else node.children[0]
+            node = node.children[bisect_right(node.keys, target.keys[0])] if target.keys else node.children[0]
             depth += 1
         return depth
 

@@ -20,14 +20,28 @@ Shapes and conventions:
   accumulators) or a chunk position (:meth:`ChunkScorer.floor_candidates`);
 * ``floor`` arguments implement the strict-dominance cut: a candidate
   whose similarity is strictly below the floor is provably outside the
-  final top-``lambda`` set and may be dropped without changing results.
+  final top-``lambda`` set and may be dropped without changing results;
+* ``ranked_matches`` is what the operators emit: the *final* best-first
+  ``(id, similarity)`` tuples.  The defaults run ``TopK`` over the
+  candidate iterators — the reference a batched override must equal.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.core.topk import TopK
 from repro.text.document import Document
+
+Matches = tuple[tuple[int, float], ...]
+
+
+def _top(candidates: Iterable[tuple[int, float]], lam: int) -> Matches:
+    """``TopK``'s final answer over every offered candidate."""
+    tracker = TopK(lam)
+    for key, similarity in candidates:
+        tracker.offer(key, similarity)
+    return tuple(tracker.results())
 
 
 class ChunkScorer:
@@ -36,8 +50,7 @@ class ChunkScorer:
     Built once per operator chunk.  Two access patterns:
 
     * HHNL forward: :meth:`collect` one column per streamed inner
-      document, then :meth:`ranked_candidates` per chunk row once the
-      scan completes;
+      document, then one :meth:`ranked_matches` once the scan completes;
     * HHNL backward: :meth:`floor_candidates` per streamed document,
       scoring it against the chunk immediately (the chunk-side trackers
       persist across chunks, so their running thresholds are the floor).
@@ -67,6 +80,15 @@ class ChunkScorer:
         """
         raise NotImplementedError
 
+    def ranked_matches(
+        self, lam: int, other_norms: Any | None, chunk_norms: Sequence[float]
+    ) -> list[Matches]:
+        """Final top-``lam`` matches per chunk position (one norm each)."""
+        return [
+            _top(self.ranked_candidates(position, lam, other_norms, norm), lam)
+            for position, norm in enumerate(chunk_norms)
+        ]
+
     def set_chunk_norms(self, norms: Sequence[float] | None) -> None:
         """Install per-position norms for :meth:`floor_candidates`."""
         raise NotImplementedError
@@ -93,6 +115,12 @@ class SparseScores:
         """``U_i += weight * w_i`` over one inverted entry's postings."""
         raise NotImplementedError
 
+    def add_entries(self, entries: Sequence[Any], weights: Sequence[int]) -> int:
+        """:meth:`add_entry` per ``(entry, weight)``; the postings folded in."""
+        for entry, weight in zip(entries, weights):
+            self.add_entry(entry, weight)
+        return sum(len(entry.postings) for entry in entries)
+
     def clear(self) -> None:
         """Reset for the next outer document (peak is preserved)."""
         raise NotImplementedError
@@ -102,6 +130,12 @@ class SparseScores:
     ) -> Iterable[tuple[int, float]]:
         """Surviving ``(inner_id, similarity)`` pairs of this accumulator."""
         raise NotImplementedError
+
+    def ranked_matches(
+        self, lam: int, other_norms: Any | None, outer_norm: float
+    ) -> Matches:
+        """Final top-``lam`` matches of the accumulated outer document."""
+        return _top(self.ranked_candidates(lam, other_norms, outer_norm), lam)
 
 
 class PairScores:
@@ -135,6 +169,20 @@ class PairScores:
     ) -> Iterable[tuple[int, float]]:
         """Surviving ``(inner_id, similarity)`` pairs of one outer row."""
         raise NotImplementedError
+
+    def ranked_matches(
+        self,
+        chunk: Sequence[int],
+        lam: int,
+        other_norms: Any | None,
+        outer_norms: Sequence[float],
+    ) -> list[Matches]:
+        """Final top-``lam`` matches per document of ``chunk`` — the
+        sequence :meth:`begin_chunk` announced — one outer norm each."""
+        return [
+            _top(self.row_ranked(outer_doc, lam, other_norms, norm), lam)
+            for outer_doc, norm in zip(chunk, outer_norms)
+        ]
 
 
 class Kernels:

@@ -39,7 +39,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.kernels.base import ChunkScorer, Kernels, PairScores, SparseScores
+from repro.kernels.base import ChunkScorer, Kernels, Matches, PairScores, SparseScores
 from repro.text.document import Document
 
 _TAG = "numpy"
@@ -47,6 +47,10 @@ _TAG = "numpy"
 #: dense pair-matrix cells beyond which VVM accumulation falls back to
 #: lazily-allocated per-row storage (keeps worst-case memory bounded)
 DENSE_CELL_LIMIT = 1 << 24
+
+#: matrix cells ranked at once: three float64 temporaries and a mask per
+#: cell (~26 B) keep the ranking scratch near 1.5 MB whatever the chunk
+RANK_SLAB_CELLS = 1 << 16
 
 
 def _pack_cells(
@@ -131,6 +135,57 @@ def _ranked(
     return zip(found.tolist(), sims.tolist())
 
 
+def _ranked_rows(
+    matrix: np.ndarray,
+    lam: int,
+    other_norms: np.ndarray | None,
+    row_norms: Sequence[float],
+    ids: np.ndarray | None = None,
+    integral: bool = False,
+) -> list[Matches]:
+    """Every score row's final best-first top-``lam`` tuples.
+
+    :func:`_ranked` then :class:`~repro.core.topk.TopK`, a slab of rows
+    at a time: the same elementwise division, the same cut (ties kept,
+    non-positive cells dropped), one ``lexsort`` on (row, -similarity,
+    id) — ``TopK``'s total order — and each row truncated to ``lam``.
+    """
+    n_columns = matrix.shape[1]
+    if other_norms is not None:
+        column_norms = other_norms if ids is None else other_norms[ids]
+        row_norms = np.asarray(row_norms, dtype=np.float64)[:, None]
+    matches: list[Matches] = []
+    step = max(RANK_SLAB_CELLS // max(n_columns, 1), 1)
+    for start in range(0, len(matrix), step):
+        sims = matrix[start : start + step]
+        if other_norms is not None:
+            denominators = row_norms[start : start + step] * column_norms
+            sims = np.divide(
+                sims, denominators, out=np.zeros(sims.shape), where=denominators != 0
+            )
+        keep = sims > 0
+        if n_columns > lam:
+            cut = n_columns - lam
+            keep &= sims >= np.partition(sims, cut, axis=1)[:, cut, None]
+        # flat indices: nonzero on a 2-D mask is ten times slower
+        rows, columns = np.divmod(np.flatnonzero(keep), n_columns)
+        found = sims[rows, columns]
+        docs = columns if ids is None else ids[columns]
+        counts = np.bincount(rows, minlength=len(sims))
+        # rows ascend, so a cell's rank in its row is its sorted position
+        # minus the row's first: ties beyond lam go before any tolist
+        rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        order = np.lexsort((docs, -found, rows))[rank < lam]
+        if integral and other_norms is None:
+            found = found.astype(np.int64)
+        pairs = list(zip(docs[order].tolist(), found[order].tolist()))
+        begin = 0
+        for end in np.cumsum(np.minimum(counts, lam)).tolist():
+            matches.append(tuple(pairs[begin:end]))
+            begin = end
+    return matches
+
+
 class _PostingBatch:
     """A filtered posting batch: parallel id/weight arrays with a length."""
 
@@ -205,6 +260,16 @@ class VectorChunkScorer(ChunkScorer):
         self._ensure_matrix()
         return _ranked(
             self._matrix[position], lam, other_norms, chunk_norm, self._ids_array
+        )
+
+    def ranked_matches(
+        self, lam: int, other_norms: np.ndarray | None, chunk_norms: Sequence[float]
+    ) -> list[Matches]:
+        if not self._collected:
+            return [()] * len(chunk_norms)
+        self._ensure_matrix()
+        return _ranked_rows(
+            self._matrix, lam, other_norms, chunk_norms, self._ids_array
         )
 
     def set_chunk_norms(self, norms: Sequence[float] | None) -> None:
@@ -339,6 +404,13 @@ class VectorSparseScores(SparseScores):
         self._batches.append(_pack_entry(entry))
         self._outer_weights.append(weight)
         self._scores = None
+
+    def add_entries(self, entries: Sequence[Any], weights: Sequence[int]) -> int:
+        batches = [_pack_entry(entry) for entry in entries]
+        self._batches.extend(batches)
+        self._outer_weights.extend(weights)
+        self._scores = None
+        return sum(len(ids) for ids, _ in batches)
 
     def clear(self) -> None:
         self._batches.clear()
@@ -479,6 +551,18 @@ class VectorPairScores(PairScores):
         if row is None:
             return iter(())
         return _ranked(row, lam, other_norms, outer_norm, integral=True)
+
+    def ranked_matches(
+        self,
+        chunk: Sequence[int],
+        lam: int,
+        other_norms: np.ndarray | None,
+        outer_norms: Sequence[float],
+    ) -> list[Matches]:
+        if not self._dense:
+            return super().ranked_matches(chunk, lam, other_norms, outer_norms)
+        matrix = self._flush()[: len(chunk)]
+        return _ranked_rows(matrix, lam, other_norms, outer_norms, integral=True)
 
 
 class VectorKernels(Kernels):

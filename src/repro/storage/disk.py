@@ -157,13 +157,13 @@ class SimulatedDisk:
         Pricing follows :attr:`charge_model`; the whole page span of the
         record is transferred either way.
         """
-        span = extent.span(record_id)
+        span, payload = extent.lookup(record_id)
         n = span.n_pages
         if self.charge_model is DiskChargeModel.PAPER_ALL_RANDOM:
             self.stats.record(extent.name, random=n)
         else:
             self.stats.record(extent.name, random=1, sequential=n - 1)
-        return extent.payload(record_id)
+        return payload
 
     def read_run(self, extent: Extent, first_record: int, n_records: int) -> list[Any]:
         """Fetch ``n_records`` consecutive records with one seek.

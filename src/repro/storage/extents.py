@@ -98,20 +98,23 @@ class Extent:
         """Exact packed size in pages — the paper's ``D_i`` / ``I_i``."""
         return self._next_byte / self.geometry.page_bytes
 
-    def span(self, record_id: int) -> RecordSpan:
-        """Placement of record ``record_id``."""
-        try:
-            return self._spans[record_id]
-        except IndexError:
+    def lookup(self, record_id: int) -> tuple[RecordSpan, Any]:
+        """Placement and stored object of ``record_id``, bounds-checked once
+        (a negative id must not wrap around to the extent's tail)."""
+        if not 0 <= record_id < len(self._spans):
             raise PageOutOfRangeError(
                 f"extent {self.name!r} has {len(self._spans)} records, "
                 f"record {record_id} requested"
-            ) from None
+            )
+        return self._spans[record_id], self._payloads[record_id]
+
+    def span(self, record_id: int) -> RecordSpan:
+        """Placement of record ``record_id``."""
+        return self.lookup(record_id)[0]
 
     def payload(self, record_id: int) -> Any:
         """The stored object for ``record_id`` (no I/O accounting)."""
-        self.span(record_id)  # bounds check
-        return self._payloads[record_id]
+        return self.lookup(record_id)[1]
 
     def spans(self) -> Iterator[RecordSpan]:
         """All record placements in storage order."""

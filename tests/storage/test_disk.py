@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import PageOutOfRangeError, StorageError
 from repro.storage.disk import DiskChargeModel, SimulatedDisk
 from repro.storage.extents import Extent
 from repro.storage.iostats import IOStats
@@ -167,3 +167,33 @@ class TestReadRun:
         fill(extent, [10])
         with pytest.raises(StorageError):
             disk.read_run(extent, 0, 0)
+
+
+class TestNegativeRecordId:
+    """A negative id must raise, not wrap to the extent's last record."""
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda disk, extent: disk.read_record(extent, -1),
+            lambda disk, extent: disk.read_run(extent, -1, 1),
+            lambda disk, extent: disk.read_run(extent, -1, 2),
+            lambda disk, extent: extent.payload(-1),
+            lambda disk, extent: extent.span(-2),
+        ],
+        ids=["read_record", "read_run", "read_run-into-range", "payload", "span"],
+    )
+    def test_raises_and_charges_nothing(self, read):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [10, 150])
+        with pytest.raises(PageOutOfRangeError):
+            read(disk, extent)
+        assert disk.stats == IOStats()
+
+    def test_lookup_returns_placement_and_payload_together(self):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [10, 150])
+        span, payload = extent.lookup(1)
+        assert (span, payload) == (extent.span(1), "r1")
