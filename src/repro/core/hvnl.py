@@ -18,17 +18,22 @@ The whole B+-tree is read in once up-front (Section 5.2's one-time
 ``Bt1`` charge).
 
 Streaming: :func:`iter_hvnl` yields one
-:class:`~repro.exec.stream.MatchBlock` per probed outer document — HVNL
-finalises each document the moment its accumulator is ranked, which makes
-it the natural operator for ``LIMIT``-bounded queries: an abandoned
-stream fetches no further entries.  :func:`run_hvnl` is the materializing
-:func:`~repro.exec.stream.collect` wrapper.
+:class:`~repro.exec.stream.MatchBlock` per probed outer document, which
+makes it the natural operator for ``LIMIT``-bounded queries: an abandoned
+stream fetches no further entries.  Scores are computed ahead — a
+doubling block of upcoming outer documents per
+:meth:`~repro.kernels.base.Kernels.rank` call, from the in-memory
+inverted file — and charged in step: each document's reads and probes
+happen in the original order, before its block is emitted.
+:func:`run_hvnl` is the materializing :func:`~repro.exec.stream.collect`
+wrapper.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from collections import deque
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.constants import TERM_NUMBER_BYTES
 from repro.core.join import (
@@ -46,7 +51,14 @@ from repro.exec.stream import MatchBlock, StreamSummary, collect
 from repro.storage.buffer import ObjectBuffer
 from repro.storage.policies import LowestDocFrequencyPolicy, ReplacementPolicy
 
+if TYPE_CHECKING:
+    from repro.kernels.base import Matches
+
 BTREE_IO_LABEL = "c1.btree"
+
+#: outer documents scored ahead per :meth:`Kernels.rank` call, in score
+#: cells (documents x inner documents): a 2 MB float64 matrix
+RANK_BLOCK_CELLS = 1 << 18
 
 
 def iter_hvnl(
@@ -210,9 +222,16 @@ def iter_hvnl(
         prepared_norms1 = kernels.prepare_norms(norms1, n_inner_docs)
         prepared_filter = kernels.prepare_filter(inner_ids, n_inner_docs)
 
-        accumulator = kernels.sparse_scores(n_inner_docs, prepared_filter)
+        # Compute ahead, charge in step (docs/EXECUTION.md): every outer
+        # stream yields ``order``, so the next block is scored from memory;
+        # each document is emitted only after its own probes are charged.
+        order = outer_ids if outer_ids is not None else range(len(docs2))
+        block_cap = max(RANK_BLOCK_CELLS // max(n_inner_docs, 1), 1)
+        block_size, position = 1, 0
+        ahead: deque[tuple[int, Matches, int]] = deque()
         entries_fetched = 0
         cpu_ops = 0  # posting accumulations, the unit of repro.cost.cpu
+        peak_cells = 0
 
         while True:
             ctx.checkpoint()
@@ -223,20 +242,34 @@ def iter_hvnl(
             if item is None:
                 break
             outer_id, outer_doc = item
-            accumulator.clear()
+            if not ahead:
+                block = order[position : position + block_size]
+                position += len(block)
+                block_size = min(2 * block_size, block_cap)
+                docs = [docs2.payload(doc_id) for doc_id in block]
+                terms = {term for doc in docs for term, _ in doc.cells}
+                found = {t: inverted1.entry(t) for t in terms if t in inverted1}
+                norms = [norms2[i] if norms2 is not None else 0.0 for i in block]
+                ranked = kernels.rank(
+                    docs, found, spec.lam, prepared_norms1, norms, prepared_filter,
+                    n_inner_docs,
+                )
+                ahead.extend(zip(block, *ranked))
+            predicted, matches, cells = ahead.popleft()
+            if predicted != outer_id:
+                raise JoinError(f"HVNL read outer {outer_id}, scored {predicted}")
             with ctx.phase("hvnl.probe"):
                 # Resident-first term order (Section 4.2's reuse optimisation):
                 # every lookup precedes every insert, so a term fetched for
                 # this document cannot evict an entry it still needs.
-                entries, weights, absent_terms = [], [], []
-                for term, weight in outer_doc.cells:
+                entries, absent_terms = [], []
+                for term, _ in outer_doc.cells:
                     entry = buffer.get(term)
                     if entry is None:
-                        absent_terms.append((term, weight))
+                        absent_terms.append(term)
                     else:
                         entries.append(entry)
-                        weights.append(weight)
-                for term, weight in absent_terms:
+                for term in absent_terms:
                     location = btree1.search(term)
                     if location is None:
                         continue  # term does not appear in C1
@@ -249,15 +282,10 @@ def iter_hvnl(
                         priority=df2.get(term, 0),
                     )
                     entries.append(entry)
-                    weights.append(weight)
                 # One accumulation per posting before filtering, exactly
                 # as the original loop charged them.
-                cpu_ops += accumulator.add_entries(entries, weights)
-
-            outer_norm = norms2[outer_id] if norms2 is not None else 0.0
-            # This outer document's accumulator is ranked: its top-lambda
-            # set is final — emit before touching the next document.
-            matches = accumulator.ranked_matches(spec.lam, prepared_norms1, outer_norm)
+                cpu_ops += sum(len(entry.postings) for entry in entries)
+            peak_cells = max(peak_cells, cells)
             yield ctx.emit(MatchBlock(outer_doc=outer_id, matches=matches))
 
     return StreamSummary(
@@ -273,7 +301,7 @@ def iter_hvnl(
             "buffer_misses": buffer.misses,
             "buffer_evictions": buffer.evictions,
             "buffer_hit_rate": buffer.hit_rate,
-            "peak_accumulator_cells": accumulator.peak_cells,
+            "peak_accumulator_cells": peak_cells,
             "interference": interference,
             "cpu_ops": cpu_ops,
         },

@@ -23,7 +23,9 @@ Shapes and conventions:
   final top-``lambda`` set and may be dropped without changing results;
 * ``ranked_matches`` is what the operators emit: the *final* best-first
   ``(id, similarity)`` tuples.  The defaults run ``TopK`` over the
-  candidate iterators — the reference a batched override must equal.
+  candidate iterators — the reference a batched override must equal;
+* :meth:`Kernels.rank` is HVNL's scorer: the final matches of a whole
+  block of outer documents, from in-memory inverted entries.
 """
 
 from __future__ import annotations
@@ -114,12 +116,6 @@ class SparseScores:
     def add_entry(self, entry: Any, weight: int) -> None:
         """``U_i += weight * w_i`` over one inverted entry's postings."""
         raise NotImplementedError
-
-    def add_entries(self, entries: Sequence[Any], weights: Sequence[int]) -> int:
-        """:meth:`add_entry` per ``(entry, weight)``; the postings folded in."""
-        for entry, weight in zip(entries, weights):
-            self.add_entry(entry, weight)
-        return sum(len(entry.postings) for entry in entries)
 
     def clear(self) -> None:
         """Reset for the next outer document (peak is preserved)."""
@@ -223,6 +219,36 @@ class Kernels:
     def pair_scores(self, n_docs: int) -> PairScores:
         """An all-pairs accumulator over ``chunk x n_docs`` (VVM)."""
         raise NotImplementedError
+
+    # --- scoring -----------------------------------------------------------
+
+    def rank(
+        self,
+        docs: Sequence[Document],
+        entries: Mapping[int, Any],
+        lam: int,
+        prepared_norms: Any | None,
+        outer_norms: Sequence[float],
+        prepared_filter: Any,
+        n_docs: int,
+    ) -> tuple[list[Matches], list[int]]:
+        """HVNL's scoring of a block of outer documents against C1.
+
+        ``entries`` maps each of the block's terms found in C1 to its
+        inverted entry.  Returns, per document (one outer norm each),
+        the final top-``lam`` matches and the number of accumulator
+        cells it touched.  The default is HVNL's original loop, one
+        :class:`SparseScores` per document.
+        """
+        matches, cells = [], []
+        for doc, norm in zip(docs, outer_norms):
+            scores = self.sparse_scores(n_docs, prepared_filter)
+            for term, weight in doc.cells:
+                if term in entries:
+                    scores.add_entry(entries[term], weight)
+            matches.append(scores.ranked_matches(lam, prepared_norms, norm))
+            cells.append(scores.peak_cells)
+        return matches, cells
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -11,9 +11,10 @@ is never the single pair — it is the *bulk* op:
   (:func:`_term_join`: a dense product for the frequent terms, a ragged
   scatter-add for the rest) scores the whole chunk against every
   collected document at once;
-* sparse accumulation — :meth:`VectorSparseScores.add_entry` only
-  buffers entry packs; the ranking flush concatenates them and folds
-  them into a dense score row with one ``bincount``;
+* HVNL blocks — :meth:`VectorKernels.rank` scores a block of outer
+  documents against their terms' postings in the same term join
+  (:class:`VectorSparseScores`, one ``bincount`` per document, remains
+  for the benchmark spine's layer probes);
 * pair accumulation — :meth:`VectorPairScores.add_block` buffers the
   (outer, inner) batch pair per matched term; the flush is the same
   term join, with the block index standing in for the term.
@@ -405,13 +406,6 @@ class VectorSparseScores(SparseScores):
         self._outer_weights.append(weight)
         self._scores = None
 
-    def add_entries(self, entries: Sequence[Any], weights: Sequence[int]) -> int:
-        batches = [_pack_entry(entry) for entry in entries]
-        self._batches.extend(batches)
-        self._outer_weights.extend(weights)
-        self._scores = None
-        return sum(len(ids) for ids, _ in batches)
-
     def clear(self) -> None:
         self._batches.clear()
         self._outer_weights.clear()
@@ -612,6 +606,37 @@ class VectorKernels(Kernels):
 
     def pair_scores(self, n_docs: int) -> VectorPairScores:
         return VectorPairScores(n_docs)
+
+    def rank(
+        self,
+        docs: Sequence[Document],
+        entries: Mapping[int, Any],
+        lam: int,
+        prepared_norms: np.ndarray | None,
+        outer_norms: Sequence[float],
+        prepared_filter: np.ndarray | None,
+        n_docs: int,
+    ) -> tuple[list[Matches], list[int]]:
+        """One term join of the block's cells against its terms' postings."""
+        empty = np.empty(0, dtype=np.int64)  # a trailing pack: no empty concatenate
+        doc_terms, doc_weights = zip(*map(_pack_document, docs), (empty, empty))
+        cat_terms = np.concatenate(doc_terms)
+        order = np.argsort(cat_terms, kind="stable")
+        posting_ids, weights = zip(*map(_pack_entry, entries.values()), (empty, empty))
+        terms = np.fromiter(entries, dtype=np.int64, count=len(entries))
+        terms = np.repeat(terms, [len(ids) for ids in posting_ids[:-1]])
+        ids, weights = np.concatenate(posting_ids), np.concatenate(weights)
+        if prepared_filter is not None:
+            allowed = prepared_filter[ids]
+            ids, weights, terms = ids[allowed], weights[allowed], terms[allowed]
+        rows = _part_index(doc_terms)[order]
+        matrix = _term_join(
+            cat_terms[order], np.concatenate(doc_weights)[order], rows, len(docs),
+            terms, weights, ids, n_docs,
+        )
+        # Contributions are positive: non-zero cells == touched cells.
+        cells = np.count_nonzero(matrix, axis=1).tolist()
+        return _ranked_rows(matrix, lam, prepared_norms, outer_norms), cells
 
 
 __all__ = [

@@ -73,11 +73,9 @@ def matches(primitive, backend, c1, c2, lam, *, norms1=None, norms2=None,
         out = []
         for doc, norm in zip(chunk, outer_norms):
             scores.clear()
-            hits = [(inverted1[t], w) for t, w in c2[doc].cells if t in inverted1]
-            entries, weights = [e for e, _ in hits], [w for _, w in hits]
-            assert scores.add_entries(entries, weights) == sum(
-                len(entry.postings) for entry in entries
-            )
+            for term, weight in c2[doc].cells:
+                if term in inverted1:
+                    scores.add_entry(inverted1[term], weight)
             if batched:
                 out.append(scores.ranked_matches(lam, prepared, norm))
             else:
