@@ -107,6 +107,7 @@ def iter_hhnl(
                     chunk_docs = [docs2.payload(doc_id) for doc_id in chunk_ids]
                     first_page = docs2.span(chunk_ids[0]).first_page
                     last_page = docs2.span(chunk_ids[-1]).last_page
+                    last_page = min(last_page, docs2.n_pages - 1)  # as in scan_records
                     first_new = max(first_page, pages_read_through + 1)
                     new_pages = last_page - first_new + 1
                     if new_pages > 0:
@@ -278,6 +279,7 @@ def iter_hhnl_backward(
                 chunk_docs = [docs1.payload(doc_id) for doc_id in chunk_ids]
                 first_page = docs1.span(chunk_ids[0]).first_page
                 last_page = docs1.span(chunk_ids[-1]).last_page
+                last_page = min(last_page, docs1.n_pages - 1)  # as in scan_records
                 first_new = max(first_page, pages_read_through + 1)
                 new_pages = last_page - first_new + 1
                 if new_pages > 0:

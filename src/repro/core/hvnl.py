@@ -37,9 +37,11 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.constants import TERM_NUMBER_BYTES
 from repro.core.join import (
+    RANK_BLOCK_CELLS,
     JoinEnvironment,
     TextJoinResult,
     TextJoinSpec,
+    block_ranker,
     resolve_inner_ids,
     resolve_outer_ids,
     scan_with_block_seeks,
@@ -55,10 +57,6 @@ if TYPE_CHECKING:
     from repro.kernels.base import Matches
 
 BTREE_IO_LABEL = "c1.btree"
-
-#: outer documents scored ahead per :meth:`Kernels.rank` call, in score
-#: cells (documents x inner documents): a 2 MB float64 matrix
-RANK_BLOCK_CELLS = 1 << 18
 
 
 def iter_hvnl(
@@ -215,12 +213,8 @@ def iter_hvnl(
                 for span, doc in disk.scan_records(docs2, interference=False)
             )
 
-        norms1 = environment.norms1() if spec.normalized else None
-        norms2 = environment.norms2() if spec.normalized else None
-        kernels = environment.kernels
+        rank_block = block_ranker(environment, spec, inner_ids)
         n_inner_docs = environment.collection1.n_documents
-        prepared_norms1 = kernels.prepare_norms(norms1, n_inner_docs)
-        prepared_filter = kernels.prepare_filter(inner_ids, n_inner_docs)
 
         # Compute ahead, charge in step (docs/EXECUTION.md): every outer
         # stream yields ``order``, so the next block is scored from memory;
@@ -247,14 +241,7 @@ def iter_hvnl(
                 position += len(block)
                 block_size = min(2 * block_size, block_cap)
                 docs = [docs2.payload(doc_id) for doc_id in block]
-                terms = {term for doc in docs for term, _ in doc.cells}
-                found = {t: inverted1.entry(t) for t in terms if t in inverted1}
-                norms = [norms2[i] if norms2 is not None else 0.0 for i in block]
-                ranked = kernels.rank(
-                    docs, found, spec.lam, prepared_norms1, norms, prepared_filter,
-                    n_inner_docs,
-                )
-                ahead.extend(zip(block, *ranked))
+                ahead.extend(zip(block, *rank_block(block, docs)))
             predicted, matches, cells = ahead.popleft()
             if predicted != outer_id:
                 raise JoinError(f"HVNL read outer {outer_id}, scored {predicted}")

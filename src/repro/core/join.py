@@ -18,7 +18,7 @@ their I/O differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.cost.params import JoinSide, QueryParams, SystemParams
 from repro.errors import JoinError
@@ -33,6 +33,7 @@ from repro.text.collection import DocumentCollection
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle broken at runtime
     from repro.kernels import Kernels
+    from repro.kernels.base import Matches
 
 
 @dataclass(frozen=True)
@@ -277,8 +278,36 @@ def scan_with_block_seeks(disk: SimulatedDisk, extent: Extent, leftover_pages: f
         else:
             blocks = total
         disk.stats.record(extent.name, random=blocks, sequential=total - blocks)
-    for span in extent.spans():
-        yield span, extent.payload(span.record_id)
+    yield from extent.records()
+
+
+#: outer documents scored per :meth:`Kernels.rank` call, in score cells
+#: (documents x inner documents): a 2 MB float64 matrix
+RANK_BLOCK_CELLS = 1 << 18
+
+
+def block_ranker(
+    environment: JoinEnvironment, spec: TextJoinSpec, inner_ids: Sequence[int] | None
+) -> Callable[[Sequence[int], Sequence[Any]], tuple[list[Matches], list[int]]]:
+    """A function ranking a block of C2 ids and documents (read, and charged,
+    by the caller) against the in-memory ``inverted1`` in one
+    :meth:`Kernels.rank` call: final matches and touched cells per document."""
+    kernels, inverted1 = environment.kernels, environment.inverted1
+    n_docs = environment.collection1.n_documents
+    norms1 = environment.norms1() if spec.normalized else None
+    norms2 = environment.norms2() if spec.normalized else None
+    prepared_norms1 = kernels.prepare_norms(norms1, n_docs)
+    prepared_filter = kernels.prepare_filter(inner_ids, n_docs)
+
+    def rank(block, docs):
+        terms = {term for doc in docs for term, _ in doc.cells}
+        found = {term: inverted1.entry(term) for term in terms if term in inverted1}
+        norms = [norms2[doc_id] if norms2 is not None else 0.0 for doc_id in block]
+        return kernels.rank(
+            docs, found, spec.lam, prepared_norms1, norms, prepared_filter, n_docs
+        )
+
+    return rank
 
 
 def _resolve_ids(
@@ -316,9 +345,11 @@ __all__ = [
     "JoinEnvironment",
     "JoinSide",
     "QueryParams",
+    "RANK_BLOCK_CELLS",
     "SystemParams",
     "TextJoinResult",
     "TextJoinSpec",
+    "block_ranker",
     "resolve_inner_ids",
     "resolve_outer_ids",
     "scan_with_block_seeks",

@@ -11,14 +11,13 @@ split into ``ceil(SM / M)`` sub-collections and the whole merge scan is
 repeated per sub-collection — the Section 4.3 extension, and the source
 of VVM's multiplicative cost blow-up on document-rich collections.
 
-Streaming: :func:`iter_vvm` yields the
-:class:`~repro.exec.stream.MatchBlock`\\ s of one accumulator partition as
-soon as that partition's merge pass completes — nothing inside a
-partition is final before its pass ends, but nothing needs to wait for
-the *other* partitions either.  A single-pass run therefore materializes
-everything before the first block; a multi-pass run streams per pass.
-:func:`run_vvm` is the materializing :func:`~repro.exec.stream.collect`
-wrapper.
+Streaming: :func:`iter_vvm` charges a pass, then scores it — the
+partition's documents against the in-memory C1 inverted file, one
+:meth:`~repro.kernels.base.Kernels.rank` call per sub-block of at most
+``RANK_BLOCK_CELLS // N1`` documents, whose
+:class:`~repro.exec.stream.MatchBlock`\\ s are yielded right after.
+Nothing waits for the *other* partitions.  :func:`run_vvm` is the
+materializing :func:`~repro.exec.stream.collect` wrapper.
 """
 
 from __future__ import annotations
@@ -26,9 +25,11 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.core.join import (
+    RANK_BLOCK_CELLS,
     JoinEnvironment,
     TextJoinResult,
     TextJoinSpec,
+    block_ranker,
     resolve_inner_ids,
     resolve_outer_ids,
 )
@@ -77,8 +78,6 @@ def iter_vvm(
         if outer_ids is not None
         else list(range(environment.collection2.n_documents))
     )
-    norms1 = environment.norms1() if spec.normalized else None
-    norms2 = environment.norms2() if spec.normalized else None
 
     # Split the outer documents into `passes` near-equal sub-collections.
     # Rounding can leave fewer (never more) chunks than the modelled pass
@@ -91,42 +90,36 @@ def iter_vvm(
     ] or [[]]
     actual_passes = len(chunks)
 
-    kernels = environment.kernels
+    rank_block = block_ranker(environment, spec, inner_ids)
+    docs2 = environment.docs2
     n_inner_docs = environment.collection1.n_documents
-    n_outer_docs = environment.collection2.n_documents
-    prepared_norms1 = kernels.prepare_norms(norms1, n_inner_docs)
-    prepared_filter = kernels.prepare_filter(inner_ids, n_inner_docs)
-    accumulator = kernels.pair_scores(n_inner_docs)
+    block_cap = max(RANK_BLOCK_CELLS // max(n_inner_docs, 1), 1)
+    # Surviving C1 postings per term: the posting-pair products (the unit
+    # of repro.cost.cpu) that each outer cell of the term costs.
+    entries = environment.inverted1.entries
+    if inner_ids is None:
+        inner_df = {e.term: len(e.postings) for e in entries}
+    else:
+        inner = set(inner_ids)
+        inner_df = {e.term: sum(d in inner for d, _ in e.postings) for e in entries}
     peak_cells_overall = 0
-    cpu_ops = 0  # posting-pair products, the unit of repro.cost.cpu
+    cpu_ops = 0
 
     with environment.execution_scope(ctx):
         for chunk in chunks:
             ctx.checkpoint()
-            accumulator.clear()
-            accumulator.begin_chunk(chunk)
-            chunk_filter = kernels.prepare_filter(chunk, n_outer_docs)
-
             with ctx.phase("vvm.merge"):
                 scan1 = disk.scan_records(inv1_extent, interference=interference)
                 scan2 = disk.scan_records(inv2_extent, interference=interference)
                 entry1 = next(scan1, None)
                 entry2 = next(scan2, None)
+                # No arithmetic; the interleave decides which read crosses a budget.
                 while entry1 is not None and entry2 is not None:
                     term1 = entry1[1].term
                     term2 = entry2[1].term
-                    if term1 == term2:
-                        batch1 = kernels.entry_batch(entry1[1], prepared_filter)
-                        batch2 = kernels.entry_batch(entry2[1], chunk_filter)
-                        # One product per surviving posting pair, exactly as
-                        # the original (post-filter) loop charged them.
-                        cpu_ops += len(batch2) * len(batch1)
-                        accumulator.add_block(batch2, batch1)
+                    if term1 <= term2:
                         entry1 = next(scan1, None)
-                        entry2 = next(scan2, None)
-                    elif term1 < term2:
-                        entry1 = next(scan1, None)
-                    else:
+                    if term2 <= term1:
                         entry2 = next(scan2, None)
                 # Drain the remainder of both scans: the merge reads each
                 # file to its end (the cost model charges the full I1 + I2
@@ -136,20 +129,22 @@ def iter_vvm(
                 for _ in scan2:
                     pass
 
-            # This partition's merge pass is done: its accumulator rows are
-            # final, so the whole chunk can be ranked and flushed now.
-            outer_norms = [norms2[d] if norms2 is not None else 0.0 for d in chunk]
-            ranked = accumulator.ranked_matches(
-                chunk, spec.lam, prepared_norms1, outer_norms
-            )
-            for outer_doc, matches in zip(chunk, ranked):
-                yield ctx.emit(MatchBlock(outer_doc=outer_doc, matches=matches))
-            peak_cells_overall = max(peak_cells_overall, accumulator.peak_cells)
+            # This partition's pass is charged: score it from memory.
+            pass_cells = 0
+            for start in range(0, len(chunk), block_cap):
+                block = chunk[start : start + block_cap]
+                docs = [docs2.payload(doc_id) for doc_id in block]
+                cpu_ops += sum(inner_df.get(t, 0) for doc in docs for t, _ in doc.cells)
+                for outer_doc, matches, cells in zip(block, *rank_block(block, docs)):
+                    pass_cells += cells
+                    if not spec.normalized:  # exact integer sums stay ints
+                        matches = tuple((doc, int(sim)) for doc, sim in matches)
+                    yield ctx.emit(MatchBlock(outer_doc=outer_doc, matches=matches))
+            peak_cells_overall = max(peak_cells_overall, pass_cells)
 
-    n1 = environment.collection1.n_documents
     measured_delta = (
-        peak_cells_overall * actual_passes / (n1 * len(participating))
-        if n1 and participating
+        peak_cells_overall * actual_passes / (n_inner_docs * len(participating))
+        if n_inner_docs and participating
         else 0.0
     )
     return StreamSummary(

@@ -24,8 +24,8 @@ Shapes and conventions:
 * ``ranked_matches`` is what the operators emit: the *final* best-first
   ``(id, similarity)`` tuples.  The defaults run ``TopK`` over the
   candidate iterators — the reference a batched override must equal;
-* :meth:`Kernels.rank` is HVNL's scorer: the final matches of a whole
-  block of outer documents, from in-memory inverted entries.
+* :meth:`Kernels.rank` is HVNL's and VVM's scorer: the final matches of
+  a whole block of outer documents, from in-memory inverted entries.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class SparseScores:
 
 
 class PairScores:
-    """VVM's all-pairs accumulator behind a batch interface."""
+    """VVM's old all-pairs accumulator, kept for the benchmark's layer probes."""
 
     #: largest number of simultaneously non-zero cells ever held
     peak_cells: int
@@ -202,7 +202,7 @@ class Kernels:
         """A (filtered) posting batch for :meth:`PairScores.add_block`.
 
         The returned object supports ``len()`` — the number of surviving
-        postings, which drives VVM's posting-pair CPU charge.
+        postings, the posting-pair CPU charge of a matched term.
         """
         raise NotImplementedError
 
@@ -217,7 +217,7 @@ class Kernels:
         raise NotImplementedError
 
     def pair_scores(self, n_docs: int) -> PairScores:
-        """An all-pairs accumulator over ``chunk x n_docs`` (VVM)."""
+        """An all-pairs accumulator over ``chunk x n_docs`` (layer probes only)."""
         raise NotImplementedError
 
     # --- scoring -----------------------------------------------------------
@@ -232,7 +232,7 @@ class Kernels:
         prepared_filter: Any,
         n_docs: int,
     ) -> tuple[list[Matches], list[int]]:
-        """HVNL's scoring of a block of outer documents against C1.
+        """HVNL's and VVM's scoring of a block of outer documents against C1.
 
         ``entries`` maps each of the block's terms found in C1 to its
         inverted entry.  Returns, per document (one outer norm each),

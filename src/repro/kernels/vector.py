@@ -11,13 +11,13 @@ is never the single pair — it is the *bulk* op:
   (:func:`_term_join`: a dense product for the frequent terms, a ragged
   scatter-add for the rest) scores the whole chunk against every
   collected document at once;
-* HVNL blocks — :meth:`VectorKernels.rank` scores a block of outer
-  documents against their terms' postings in the same term join
+* HVNL and VVM blocks — :meth:`VectorKernels.rank` scores a block of
+  outer documents against their terms' postings in the same term join
   (:class:`VectorSparseScores`, one ``bincount`` per document, remains
   for the benchmark spine's layer probes);
-* pair accumulation — :meth:`VectorPairScores.add_block` buffers the
-  (outer, inner) batch pair per matched term; the flush is the same
-  term join, with the block index standing in for the term.
+* pair accumulation (layer probes only) — :meth:`VectorPairScores.add_block`
+  buffers the (outer, inner) batch pair per matched term; the flush is
+  the same term join, with the block index standing in for the term.
 
 All arithmetic is exact: weights are positive integers, every score is
 a sum of integer products far below ``2**53``, and float64 represents

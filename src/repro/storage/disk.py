@@ -124,17 +124,19 @@ class SimulatedDisk:
         another job while the previous record was processed), reproducing
         the paper's ``min(D, N)`` random reads per scan.
         """
+        n_pages = extent.n_pages
         pages_read_through = -1  # highest page already transferred this pass
-        for span in extent.spans():
-            first_new = max(span.first_page, pages_read_through + 1)
-            new_pages = span.last_page - first_new + 1
-            if new_pages > 0:
+        for span, payload in extent.records():
+            last_page = span.last_page
+            # A trailing empty record sits on page n_pages, which holds nothing.
+            if pages_read_through < last_page < n_pages:
+                new_pages = last_page - max(span.first_page, pages_read_through + 1) + 1
                 if interference:
                     self.stats.record(extent.name, random=1, sequential=new_pages - 1)
                 else:
                     self.stats.record(extent.name, sequential=new_pages)
-                pages_read_through = span.last_page
-            yield span, extent.payload(span.record_id)
+                pages_read_through = last_page
+            yield span, payload
 
     def scan_pages(self, extent: Extent, *, interference: bool = False) -> int:
         """Charge a full sequential pass without yielding records.
@@ -158,11 +160,12 @@ class SimulatedDisk:
         record is transferred either way.
         """
         span, payload = extent.lookup(record_id)
-        n = span.n_pages
-        if self.charge_model is DiskChargeModel.PAPER_ALL_RANDOM:
-            self.stats.record(extent.name, random=n)
-        else:
-            self.stats.record(extent.name, random=1, sequential=n - 1)
+        n = min(span.last_page, extent.n_pages - 1) - span.first_page + 1
+        if n > 0:
+            if self.charge_model is DiskChargeModel.PAPER_ALL_RANDOM:
+                self.stats.record(extent.name, random=n)
+            else:
+                self.stats.record(extent.name, random=1, sequential=n - 1)
         return payload
 
     def read_run(self, extent: Extent, first_record: int, n_records: int) -> list[Any]:
@@ -177,8 +180,10 @@ class SimulatedDisk:
             raise StorageError(f"n_records must be positive, got {n_records}")
         first_span = extent.span(first_record)
         last_span = extent.span(first_record + n_records - 1)
-        n_pages = last_span.last_page - first_span.first_page + 1
-        self.stats.record(extent.name, random=1, sequential=n_pages - 1)
+        last_page = min(last_span.last_page, extent.n_pages - 1)
+        n_pages = last_page - first_span.first_page + 1
+        if n_pages > 0:
+            self.stats.record(extent.name, random=1, sequential=n_pages - 1)
         return [extent.payload(r) for r in range(first_record, first_record + n_records)]
 
     def __repr__(self) -> str:

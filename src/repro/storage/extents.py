@@ -116,9 +116,9 @@ class Extent:
         """The stored object for ``record_id`` (no I/O accounting)."""
         return self.lookup(record_id)[1]
 
-    def spans(self) -> Iterator[RecordSpan]:
-        """All record placements in storage order."""
-        return iter(self._spans)
+    def records(self) -> Iterator[tuple[RecordSpan, Any]]:
+        """All ``(placement, stored object)`` pairs in storage order."""
+        return zip(self._spans, self._payloads)
 
     def records_on_page(self, page: int) -> list[int]:
         """Record ids whose span includes ``page`` (for page-level scans)."""

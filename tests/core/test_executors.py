@@ -3,7 +3,7 @@ cross-algorithm agreement and I/O accounting behaviour."""
 
 import pytest
 
-from repro.core.hhnl import run_hhnl
+from repro.core.hhnl import run_hhnl, run_hhnl_backward
 from repro.core.hvnl import run_hvnl
 from repro.core.join import JoinEnvironment, TextJoinSpec
 from repro.core.vvm import run_vvm
@@ -11,6 +11,7 @@ from repro.cost.params import SystemParams
 from repro.storage.pages import PageGeometry
 from repro.storage.policies import FIFOPolicy, LRUPolicy
 from repro.text.collection import DocumentCollection
+from repro.text.document import Document
 from repro.text.similarity import cosine_similarity, dot_product
 
 RUNNERS = {"HHNL": run_hhnl, "HVNL": run_hvnl, "VVM": run_vvm}
@@ -298,3 +299,23 @@ class TestSimilarityFiniteness:
         result = run(env, TextJoinSpec(lam=5, normalized=True), small_system)
         for matches in result.matches.values():
             assert all(math.isfinite(s) for _, s in matches)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_hhnl_charges_no_page_past_a_trailing_empty_document(backward):
+    # 10-byte pages: c2's empty document sits at byte 10, on page 1 of a
+    # 1-page extent; c1's sits at byte 15, on its real second page.
+    c1 = DocumentCollection(
+        "a", [Document(0, [(1, 2), (2, 1)]), Document(1, [(1, 1)]), Document(2, [])]
+    )
+    c2 = DocumentCollection(
+        "b", [Document(0, [(1, 1)]), Document(1, [(2, 3)]), Document(2, [])]
+    )
+    environment = JoinEnvironment(c1, c2, PageGeometry(10))
+    assert (environment.docs1.n_pages, environment.docs2.n_pages) == (2, 1)
+    run = run_hhnl_backward if backward else run_hhnl
+    result = run(
+        environment, TextJoinSpec(lam=2), SystemParams(buffer_pages=40, page_bytes=10)
+    )
+    assert result.io.by_extent == {"c1.docs": (2, 0), "c2.docs": (1, 0)}
+    assert result.matches == {0: [(0, 2.0), (1, 1.0)], 1: [(0, 3.0)], 2: []}

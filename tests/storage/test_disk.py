@@ -197,3 +197,60 @@ class TestNegativeRecordId:
         fill(extent, [10, 150])
         span, payload = extent.lookup(1)
         assert (span, payload) == (extent.span(1), "r1")
+
+
+class TestTrailingEmptyRecord:
+    """An empty record at the end of a page-aligned extent sits on page
+    ``n_pages``, which holds nothing: no read path may charge it."""
+
+    def test_full_scan_charges_exactly_n_pages(self):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [100, 0])
+        assert [payload for _, payload in disk.scan_records(extent)] == ["r0", "r1"]
+        assert extent.n_pages == 1
+        assert disk.stats.by_extent == {"docs": (1, 0)}
+
+    @pytest.mark.parametrize("interference", [False, True])
+    def test_an_extent_of_empty_records_charges_nothing(self, interference):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [0, 0, 0])
+        assert len(list(disk.scan_records(extent, interference=interference))) == 3
+        assert extent.n_pages == 0
+        assert disk.stats == IOStats()
+
+    def test_interference_scan_charges_no_extra_seek(self):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [60, 140, 0, 0])
+        list(disk.scan_records(extent, interference=True))
+        assert disk.stats.by_extent == {"docs": (0, 2)}
+
+    @pytest.mark.parametrize("model", list(DiskChargeModel))
+    def test_read_record_charges_nothing(self, model):
+        disk = make_disk(page_bytes=100, charge_model=model)
+        extent = disk.create_extent("docs")
+        fill(extent, [100, 0])
+        assert disk.read_record(extent, 1) == "r1"
+        assert disk.stats == IOStats()
+
+    def test_read_run_stops_at_the_last_page(self):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [100, 100, 0])
+        assert disk.read_run(extent, 1, 2) == ["r1", "r2"]
+        assert disk.stats.by_extent == {"docs": (0, 1)}
+        assert disk.read_run(extent, 2, 1) == ["r2"]
+        assert disk.stats.by_extent == {"docs": (0, 1)}
+
+    def test_mid_extent_empty_records_charge_as_before(self):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [100, 0, 0, 50])  # the empty records sit on page 1
+        list(disk.scan_records(extent, interference=True))
+        assert disk.stats.by_extent == {"docs": (0, 2)}
+        disk.read_record(extent, 1)
+        assert disk.stats.by_extent == {"docs": (0, 3)}
+        disk.read_run(extent, 0, 2)
+        assert disk.stats.by_extent == {"docs": (1, 4)}

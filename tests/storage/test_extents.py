@@ -89,8 +89,10 @@ class TestAccess:
         extent = make_extent()
         for i in range(5):
             extent.append(i, 30)
-        starts = [s.start_byte for s in extent.spans()]
+        records = list(extent.records())
+        starts = [span.start_byte for span, _ in records]
         assert starts == sorted(starts)
+        assert [payload for _, payload in records] == list(range(5))
 
     def test_records_on_page(self):
         extent = make_extent(page_bytes=100)
