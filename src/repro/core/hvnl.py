@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.constants import TERM_NUMBER_BYTES
 from repro.core.join import (
@@ -57,6 +57,8 @@ if TYPE_CHECKING:
     from repro.kernels.base import Matches
 
 BTREE_IO_LABEL = "c1.btree"
+
+_UNPROBED = object()  # probe-table default: the term has not missed yet
 
 
 def iter_hvnl(
@@ -223,6 +225,20 @@ def iter_hvnl(
         block_cap = max(RANK_BLOCK_CELLS // max(n_inner_docs, 1), 1)
         block_size, position = 1, 0
         ahead: deque[tuple[int, Matches, int]] = deque()
+
+        # The run's probe table: a term's first miss looks it up and
+        # prices its entry once; every fetch of the entry, the first and
+        # each one after an eviction, charges the stored amounts.
+        probes: dict[int, tuple[Any, int, int, int, int] | None] = {}
+
+        def probe_term(term: int) -> tuple[Any, int, int, int, int] | None:
+            location = btree1.search(term)
+            if location is None:
+                return None
+            entry, sequential, random = disk.fetch(inv1_extent, location[0])
+            size = entry.n_bytes + TERM_NUMBER_BYTES
+            return entry, sequential, random, size, df2.get(term, 0)
+
         entries_fetched = 0
         cpu_ops = 0  # posting accumulations, the unit of repro.cost.cpu
         peak_cells = 0
@@ -249,29 +265,29 @@ def iter_hvnl(
                 # Resident-first term order (Section 4.2's reuse optimisation):
                 # every lookup precedes every insert, so a term fetched for
                 # this document cannot evict an entry it still needs.
-                entries, absent_terms = [], []
+                # One accumulation per posting before filtering, exactly
+                # as the original loop charged them.
+                absent_terms = []
                 for term, _ in outer_doc.cells:
                     entry = buffer.get(term)
                     if entry is None:
                         absent_terms.append(term)
                     else:
-                        entries.append(entry)
+                        cpu_ops += len(entry.postings)
                 for term in absent_terms:
-                    location = btree1.search(term)
-                    if location is None:
+                    probe = probes.get(term, _UNPROBED)
+                    if probe is _UNPROBED:
+                        probe = probes[term] = probe_term(term)
+                    if probe is None:
                         continue  # term does not appear in C1
-                    entry = disk.read_record(inv1_extent, location[0])
+                    entry, sequential, random, size, priority = probe
+                    if sequential or random:
+                        disk.stats.record(
+                            inv1_extent.name, sequential=sequential, random=random
+                        )
                     entries_fetched += 1
-                    buffer.insert(
-                        term,
-                        entry,
-                        entry.n_bytes + TERM_NUMBER_BYTES,
-                        priority=df2.get(term, 0),
-                    )
-                    entries.append(entry)
-                # One accumulation per posting before filtering, exactly
-                # as the original loop charged them.
-                cpu_ops += sum(len(entry.postings) for entry in entries)
+                    buffer.insert(term, entry, size, priority)
+                    cpu_ops += len(entry.postings)
             peak_cells = max(peak_cells, cells)
             yield ctx.emit(MatchBlock(outer_doc=outer_id, matches=matches))
 

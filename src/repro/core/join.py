@@ -267,18 +267,28 @@ def scan_with_block_seeks(disk: SimulatedDisk, extent: Extent, leftover_pages: f
     The worst-case formulas (Sections 5.1-5.2) let an algorithm with
     leftover buffer read a collection in blocks of that many pages, so an
     interrupted scan seeks once per *block* rather than once per record:
-    ``ceil(total / leftover)`` random reads, the rest sequential.
+    ``ceil(total / leftover)`` random reads, the rest sequential.  Each of
+    those page groups is charged when the walk first yields a record
+    ending in it, so an abandoned scan pays only for the blocks it pulled.
     """
     import math
 
     total = extent.n_pages
-    if total > 0:
-        if leftover_pages > 0:
-            blocks = min(max(1, math.ceil(total / leftover_pages)), total)
-        else:
-            blocks = total
-        disk.stats.record(extent.name, random=blocks, sequential=total - blocks)
-    yield from extent.records()
+    blocks = total
+    if leftover_pages > 0:
+        blocks = min(max(1, math.ceil(total / leftover_pages)), total)
+    groups_read = 0
+    pages_read_through = -1  # last page of the last group charged
+    for span, payload in extent.records():
+        last_page = span.last_page
+        while pages_read_through < last_page < total:
+            groups_read += 1
+            group_end = groups_read * total // blocks - 1
+            disk.stats.record(
+                extent.name, random=1, sequential=group_end - pages_read_through - 1
+            )
+            pages_read_through = group_end
+        yield span, payload
 
 
 #: outer documents scored per :meth:`Kernels.rank` call, in score cells

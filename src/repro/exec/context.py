@@ -29,7 +29,6 @@ fresh context per query.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -277,35 +276,9 @@ class ExecutionContext:
             state.baseline = None
             stats.unsubscribe(self._on_record)
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> "_Phase":
         """Scope a named I/O phase; its stats delta lands in :attr:`phase_stats`."""
-        stats = self._state.attached
-        for hook in self.hooks:
-            hook.on_phase_start(name)
-        before = stats.snapshot() if stats is not None else None
-        try:
-            yield
-        finally:
-            delta = (
-                stats.delta(before)
-                if stats is not None and before is not None
-                else IOStats()
-            )
-            bucket = self._state.phase_stats.setdefault(name, IOStats())
-            bucket.merge(delta)
-            # Every hook must see the phase close even if an earlier one
-            # raises, and a hook failure must never mask the exception
-            # that aborted the phase body (a shard worker's real error).
-            hook_error: BaseException | None = None
-            for hook in self.hooks:
-                try:
-                    hook.on_phase_end(name, delta)
-                except BaseException as exc:  # noqa: BLE001 — re-raised below
-                    if hook_error is None:
-                        hook_error = exc
-            if hook_error is not None and sys.exc_info()[1] is None:
-                raise hook_error
+        return _Phase(self, name)
 
     def emit(self, block: Any) -> Any:
         """Pass one finalised match block through the hooks; returns it."""
@@ -313,6 +286,53 @@ class ExecutionContext:
         for hook in self.hooks:
             hook.on_block(block)
         return block
+
+
+class _Phase:
+    """One :meth:`ExecutionContext.phase` scope: the delta is built only if
+    pages moved, and folded into the (always present) bucket even when the
+    body raises."""
+
+    __slots__ = ("context", "name", "stats", "before")
+
+    def __init__(self, context: ExecutionContext, name: str) -> None:
+        self.context = context
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.stats = stats = self.context._state.attached
+        for hook in self.context.hooks:
+            hook.on_phase_start(self.name)
+        if stats is not None:
+            self.before = stats.sequential_reads, stats.random_reads, dict(stats.by_extent)
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        context, name, stats = self.context, self.name, self.stats
+        phase_stats = context._state.phase_stats
+        bucket = phase_stats.get(name)
+        if bucket is None:
+            bucket = phase_stats[name] = IOStats()
+        delta = None
+        if stats is not None:
+            sequential, random, by_extent = self.before
+            if stats.sequential_reads != sequential or stats.random_reads != random:
+                delta = stats.delta(IOStats(sequential, random, by_extent))
+                bucket.merge(delta)
+        if not context.hooks:
+            return
+        delta = delta if delta is not None else IOStats()
+        # Every hook must see the phase close even if an earlier one
+        # raises, and a hook failure must never mask the exception
+        # that aborted the phase body (a shard worker's real error).
+        hook_error: BaseException | None = None
+        for hook in context.hooks:
+            try:
+                hook.on_phase_end(name, delta)
+            except BaseException as error:  # noqa: BLE001 — re-raised below
+                if hook_error is None:
+                    hook_error = error
+        if hook_error is not None and exc_type is None:
+            raise hook_error
 
 
 def ensure_context(context: ExecutionContext | None) -> ExecutionContext:

@@ -19,7 +19,7 @@ from repro.errors import StorageError
 from repro.storage.policies import ReplacementPolicy
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferedObject:
     """One resident object plus its accounting size."""
 
@@ -87,28 +87,18 @@ class ObjectBuffer:
         """
         if n_bytes < 0:
             raise StorageError(f"object size must be non-negative, got {n_bytes}")
-        if key in self._resident:
-            return self._update_resident(key, payload, n_bytes, priority)
+        obj = self._resident.get(key)
         if n_bytes > self.budget_bytes:
+            if obj is not None:  # the new size can never fit: drop the stale copy
+                self.discard(key)
             self.rejected += 1
             return False
-        while self._used_bytes + n_bytes > self.budget_bytes:
-            self._evict_one()
-        self._resident[key] = BufferedObject(key, payload, n_bytes)
-        self._used_bytes += n_bytes
-        self.policy.admitted(key, priority)
-        return True
-
-    def _update_resident(
-        self, key: Hashable, payload: Any, n_bytes: int, priority: float
-    ) -> bool:
-        """Refresh a resident object's payload, size and priority."""
-        if n_bytes > self.budget_bytes:
-            # the new size can never fit: drop the stale copy and reject
-            self.discard(key)
-            self.rejected += 1
-            return False
-        obj = self._resident[key]
+        if obj is None:
+            self._make_room(n_bytes)
+            self._resident[key] = BufferedObject(key, payload, n_bytes)
+            self._used_bytes += n_bytes
+            self.policy.admitted(key, priority)
+            return True
         self._used_bytes += n_bytes - obj.n_bytes
         obj.payload = payload
         obj.n_bytes = n_bytes
@@ -116,8 +106,7 @@ class ObjectBuffer:
         # refresh counts as this key's most recent admission).
         self.policy.evicted(key)
         self.policy.admitted(key, priority)
-        while self._used_bytes > self.budget_bytes:
-            self._evict_one()
+        self._make_room(0)
         return key in self._resident
 
     def discard(self, key: Hashable) -> bool:
@@ -134,14 +123,18 @@ class ObjectBuffer:
         for key in list(self._resident):
             self.discard(key)
 
-    def _evict_one(self) -> None:
-        victim = self.policy.victim()
-        obj = self._resident.pop(victim, None)
-        if obj is None:
-            raise StorageError(f"policy chose non-resident victim {victim!r}")
-        self._used_bytes -= obj.n_bytes
-        self.policy.evicted(victim)
-        self.evictions += 1
+    def _make_room(self, n_bytes: int) -> None:
+        """Evict the policy's victims, in order, until ``n_bytes`` more fit."""
+        limit = self.budget_bytes - n_bytes
+        policy, resident = self.policy, self._resident
+        while self._used_bytes > limit:
+            victim = policy.victim()
+            obj = resident.pop(victim, None)
+            if obj is None:
+                raise StorageError(f"policy chose non-resident victim {victim!r}")
+            self._used_bytes -= obj.n_bytes
+            policy.evicted(victim)
+            self.evictions += 1
 
     # --- accounting --------------------------------------------------------
 

@@ -153,19 +153,23 @@ class SimulatedDisk:
             self.stats.record(extent.name, sequential=n)
         return n
 
-    def read_record(self, extent: Extent, record_id: int) -> Any:
-        """Fetch one record in random order and return its payload.
-
-        Pricing follows :attr:`charge_model`; the whole page span of the
-        record is transferred either way.
-        """
+    def fetch(self, extent: Extent, record_id: int) -> tuple[Any, int, int]:
+        """``(payload, sequential, random)``: the pages :meth:`read_record`
+        charges for this record under :attr:`charge_model`, not charged
+        (``(0, 0)`` for a trailing empty record)."""
         span, payload = extent.lookup(record_id)
         n = min(span.last_page, extent.n_pages - 1) - span.first_page + 1
-        if n > 0:
-            if self.charge_model is DiskChargeModel.PAPER_ALL_RANDOM:
-                self.stats.record(extent.name, random=n)
-            else:
-                self.stats.record(extent.name, random=1, sequential=n - 1)
+        if n <= 0:
+            return payload, 0, 0
+        if self.charge_model is DiskChargeModel.PAPER_ALL_RANDOM:
+            return payload, 0, n
+        return payload, n - 1, 1
+
+    def read_record(self, extent: Extent, record_id: int) -> Any:
+        """Fetch one record in random order, charge it, return its payload."""
+        payload, sequential, random = self.fetch(extent, record_id)
+        if sequential or random:
+            self.stats.record(extent.name, sequential=sequential, random=random)
         return payload
 
     def read_run(self, extent: Extent, first_record: int, n_records: int) -> list[Any]:

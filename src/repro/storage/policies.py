@@ -74,7 +74,11 @@ class LowestDocFrequencyPolicy(ReplacementPolicy):
         pass
 
     def evicted(self, key: Hashable) -> None:
-        self._live.pop(key, None)
+        live = self._live.pop(key, None)
+        # The usual caller evicts the victim just chosen, which is the
+        # heap top: pop it now rather than as a stale entry next time.
+        if live is not None and self._heap and self._heap[0][1] == live[1]:
+            heapq.heappop(self._heap)
 
     def victim(self) -> Hashable:
         while self._heap:

@@ -165,6 +165,50 @@ class TestPhases:
         assert [name for name, _ in hooks.phases] == ["scan"]
         assert hooks.phases[0][1].sequential_reads == 4
 
+    @pytest.mark.parametrize("guarded", [True, False])
+    def test_a_phase_that_reads_nothing_keeps_an_empty_bucket(self, guarded):
+        hooks = MetricsHooks()
+        ctx = ExecutionContext(hooks=(hooks,))
+        stats = IOStats()
+        stats.record("a", sequential=3)
+        if guarded:
+            with ctx.guard(stats):
+                with ctx.phase("idle"):
+                    pass
+        else:
+            with ctx.phase("idle"):
+                pass
+        assert ctx.phase_stats["idle"] == IOStats()
+        assert hooks.phases == [("idle", IOStats())]
+        # each close hands out its own delta, never the bucket itself
+        assert hooks.phases[0][1] is not ctx.phase_stats["idle"]
+
+    def test_a_raising_body_still_folds_its_partial_delta(self):
+        hooks = MetricsHooks()
+        ctx = ExecutionContext(hooks=(hooks,))
+        stats = IOStats()
+        with ctx.guard(stats):
+            with pytest.raises(RuntimeError):
+                with ctx.phase("probe"):
+                    stats.record("a", random=2)
+                    stats.record("b", sequential=1)
+                    raise RuntimeError("mid-phase")
+        assert ctx.phase_stats["probe"].by_extent == {"a": (0, 2), "b": (1, 0)}
+        assert hooks.phases[0][1].by_extent == {"a": (0, 2), "b": (1, 0)}
+
+    def test_a_nested_phase_counts_in_both_scopes(self):
+        ctx = ExecutionContext()
+        stats = IOStats()
+        with ctx.guard(stats):
+            with ctx.phase("outer"):
+                stats.record("a", sequential=1)
+                with ctx.phase("inner"):
+                    stats.record("b", random=2)
+                stats.record("a", sequential=4)
+        assert ctx.phase_stats["outer"].by_extent == {"a": (5, 0), "b": (0, 2)}
+        assert ctx.phase_stats["inner"].by_extent == {"b": (0, 2)}
+        assert ctx.phase_stats["outer"].total_reads == 7
+
 
 class TestEmit:
     def test_emit_counts_and_returns_the_block(self):
