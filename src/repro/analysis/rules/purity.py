@@ -48,7 +48,8 @@ _WRITE_METHODS = {
 _CHARGING_METHODS = {
     "record",
     "read_record",
-    "read_run",
+    "read_runs",
+    "record_run",
     "scan_records",
     "scan_pages",
     "scan_with_block_seeks",

@@ -33,7 +33,8 @@ _CHARGING_CALLS = {
     "scan_records",
     "scan_pages",
     "read_record",
-    "read_run",
+    "read_runs",
+    "record_run",
     "scan_with_block_seeks",
 }
 _GUARD_CALLS = {"execution_scope", "guard"}

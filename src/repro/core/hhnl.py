@@ -89,13 +89,11 @@ def iter_hhnl(
 
     inner_scans = 0
     cpu_ops = 0  # merge comparisons, the unit of repro.cost.cpu
-    pages_read_through = -1  # sequential progress within the outer extent
+    chunks = [participating[i : i + x] for i in range(0, len(participating), x)]
+    runs = disk.read_runs(docs2, chunks, interference=interference)  # unselected
 
     with environment.execution_scope(ctx):
-        for chunk_start in range(0, len(participating), x):
-            chunk_ids = participating[chunk_start : chunk_start + x]
-            if not chunk_ids:
-                continue
+        for chunk_ids in chunks:
             ctx.checkpoint()
             # --- bring the outer chunk in -----------------------------------
             with ctx.phase("hhnl.outer"):
@@ -104,20 +102,7 @@ def iter_hhnl(
                         disk.read_record(docs2, doc_id) for doc_id in chunk_ids
                     ]
                 else:
-                    chunk_docs = [docs2.payload(doc_id) for doc_id in chunk_ids]
-                    first_page = docs2.span(chunk_ids[0]).first_page
-                    last_page = docs2.span(chunk_ids[-1]).last_page
-                    last_page = min(last_page, docs2.n_pages - 1)  # as in scan_records
-                    first_new = max(first_page, pages_read_through + 1)
-                    new_pages = last_page - first_new + 1
-                    if new_pages > 0:
-                        if interference:
-                            disk.stats.record(
-                                docs2.name, random=1, sequential=new_pages - 1
-                            )
-                        else:
-                            disk.stats.record(docs2.name, sequential=new_pages)
-                        pages_read_through = last_page
+                    chunk_docs = next(runs)
             scorer = kernels.chunk_scorer(chunk_docs)
             n_chunk = len(chunk_ids)
 
@@ -266,30 +251,15 @@ def iter_hhnl_backward(
     loop_ids = list(range(environment.collection1.n_documents))
     kernels = environment.kernels
     scans = 0
-    pages_read_through = -1
+    chunks = [loop_ids[i : i + x] for i in range(0, len(loop_ids), x)]
+    runs = disk.read_runs(docs1, chunks, interference=interference)
 
     with environment.execution_scope(ctx):
-        for chunk_start in range(0, len(loop_ids), x):
-            chunk_ids = loop_ids[chunk_start : chunk_start + x]
-            if not chunk_ids:
-                continue
+        for chunk_ids in chunks:
             ctx.checkpoint()
             # --- bring the C1 chunk in (sequential progress over the extent) --
             with ctx.phase("hhnl.inner"):
-                chunk_docs = [docs1.payload(doc_id) for doc_id in chunk_ids]
-                first_page = docs1.span(chunk_ids[0]).first_page
-                last_page = docs1.span(chunk_ids[-1]).last_page
-                last_page = min(last_page, docs1.n_pages - 1)  # as in scan_records
-                first_new = max(first_page, pages_read_through + 1)
-                new_pages = last_page - first_new + 1
-                if new_pages > 0:
-                    if interference:
-                        disk.stats.record(
-                            docs1.name, random=1, sequential=new_pages - 1
-                        )
-                    else:
-                        disk.stats.record(docs1.name, sequential=new_pages)
-                    pages_read_through = last_page
+                chunk_docs = next(runs)
             scorer = kernels.chunk_scorer(chunk_docs)
             scorer.set_chunk_norms(
                 [norms1[c1_id] for c1_id in chunk_ids]

@@ -23,17 +23,19 @@ makes it the natural operator for ``LIMIT``-bounded queries: an abandoned
 stream fetches no further entries.  Scores are computed ahead — a
 doubling block of upcoming outer documents per
 :meth:`~repro.kernels.base.Kernels.rank` call, from the in-memory
-inverted file — and charged in step: each document's reads and probes
-happen in the original order, before its block is emitted.
-:func:`run_hvnl` is the materializing :func:`~repro.exec.stream.collect`
-wrapper.
+inverted file (:func:`~repro.core.join.compute_ahead`) — and charged in
+step: each document's outer read comes first, then its probe round (one
+:meth:`~repro.storage.buffer.ObjectBuffer.offer_run`: every lookup, then
+every admission, in the original order) and one
+:meth:`~repro.storage.iostats.IOStats.record_run` of its fetches, before
+its block is emitted.  :func:`run_hvnl` is the materializing
+:func:`~repro.exec.stream.collect` wrapper.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.constants import TERM_NUMBER_BYTES
 from repro.core.join import (
@@ -41,7 +43,7 @@ from repro.core.join import (
     JoinEnvironment,
     TextJoinResult,
     TextJoinSpec,
-    block_ranker,
+    compute_ahead,
     resolve_inner_ids,
     resolve_outer_ids,
     scan_with_block_seeks,
@@ -53,12 +55,7 @@ from repro.exec.stream import MatchBlock, StreamSummary, collect
 from repro.storage.buffer import ObjectBuffer
 from repro.storage.policies import LowestDocFrequencyPolicy, ReplacementPolicy
 
-if TYPE_CHECKING:
-    from repro.kernels.base import Matches
-
 BTREE_IO_LABEL = "c1.btree"
-
-_UNPROBED = object()  # probe-table default: the term has not missed yet
 
 
 def iter_hvnl(
@@ -153,7 +150,7 @@ def iter_hvnl(
                         ctx.checkpoint()
                         buffer.insert(
                             entry.term,
-                            entry,
+                            len(entry.postings),
                             entry.n_bytes + TERM_NUMBER_BYTES,
                             priority=df2.get(entry.term, 0),
                         )
@@ -215,29 +212,29 @@ def iter_hvnl(
                 for span, doc in disk.scan_records(docs2, interference=False)
             )
 
-        rank_block = block_ranker(environment, spec, inner_ids)
-        n_inner_docs = environment.collection1.n_documents
-
         # Compute ahead, charge in step (docs/EXECUTION.md): every outer
         # stream yields ``order``, so the next block is scored from memory;
         # each document is emitted only after its own probes are charged.
         order = outer_ids if outer_ids is not None else range(len(docs2))
-        block_cap = max(RANK_BLOCK_CELLS // max(n_inner_docs, 1), 1)
-        block_size, position = 1, 0
-        ahead: deque[tuple[int, Matches, int]] = deque()
+        scored = compute_ahead(
+            environment, spec, inner_ids, order, RANK_BLOCK_CELLS, grow=True
+        )
 
-        # The run's probe table: a term's first miss looks it up and
-        # prices its entry once; every fetch of the entry, the first and
-        # each one after an eviction, charges the stored amounts.
-        probes: dict[int, tuple[Any, int, int, int, int] | None] = {}
+        # The run's probe table, filled on a term's first miss: one lookup
+        # and one pricing of its entry, as the buffer row ``(postings, size,
+        # priority, sequential, random)`` (HVNL scores from memory, so a
+        # resident entry only counts its postings) or ``None`` if C1 lacks
+        # the term.  Each fetch, first or after an eviction, charges the row.
+        probes: dict[int, tuple[int, int, int, int, int] | None] = {}
 
-        def probe_term(term: int) -> tuple[Any, int, int, int, int] | None:
-            location = btree1.search(term)
-            if location is None:
-                return None
-            entry, sequential, random = disk.fetch(inv1_extent, location[0])
-            size = entry.n_bytes + TERM_NUMBER_BYTES
-            return entry, sequential, random, size, df2.get(term, 0)
+        def probe(term: int) -> tuple[int, int, int, int, int] | None:
+            if term not in probes:
+                location, probes[term] = btree1.search(term), None
+                if location is not None:
+                    entry, seq, rnd = disk.fetch(inv1_extent, location[0])
+                    size, priority = entry.n_bytes + TERM_NUMBER_BYTES, df2.get(term, 0)
+                    probes[term] = (len(entry.postings), size, priority, seq, rnd)
+            return probes[term]
 
         entries_fetched = 0
         cpu_ops = 0  # posting accumulations, the unit of repro.cost.cpu
@@ -252,42 +249,26 @@ def iter_hvnl(
             if item is None:
                 break
             outer_id, outer_doc = item
-            if not ahead:
-                block = order[position : position + block_size]
-                position += len(block)
-                block_size = min(2 * block_size, block_cap)
-                docs = [docs2.payload(doc_id) for doc_id in block]
-                ahead.extend(zip(block, *rank_block(block, docs)))
-            predicted, matches, cells = ahead.popleft()
+            predicted, matches, cells = next(scored, (None, (), 0))
             if predicted != outer_id:
                 raise JoinError(f"HVNL read outer {outer_id}, scored {predicted}")
             with ctx.phase("hvnl.probe"):
                 # Resident-first term order (Section 4.2's reuse optimisation):
-                # every lookup precedes every insert, so a term fetched for
-                # this document cannot evict an entry it still needs.
+                # every lookup precedes every admission, so a term fetched
+                # for this document cannot evict an entry it still needs.
                 # One accumulation per posting before filtering, exactly
                 # as the original loop charged them.
-                absent_terms = []
-                for term, _ in outer_doc.cells:
-                    entry = buffer.get(term)
-                    if entry is None:
-                        absent_terms.append(term)
-                    else:
-                        cpu_ops += len(entry.postings)
-                for term in absent_terms:
-                    probe = probes.get(term, _UNPROBED)
-                    if probe is _UNPROBED:
-                        probe = probes[term] = probe_term(term)
-                    if probe is None:
-                        continue  # term does not appear in C1
-                    entry, sequential, random, size, priority = probe
+                hits, fetched = buffer.offer_run(
+                    [term for term, _ in outer_doc.cells], probe
+                )
+                entries_fetched += len(fetched)
+                cpu_ops += sum(hits)
+                charges = []
+                for postings, _, _, sequential, random in fetched:
+                    cpu_ops += postings
                     if sequential or random:
-                        disk.stats.record(
-                            inv1_extent.name, sequential=sequential, random=random
-                        )
-                    entries_fetched += 1
-                    buffer.insert(term, entry, size, priority)
-                    cpu_ops += len(entry.postings)
+                        charges.append((inv1_extent.name, sequential, random))
+                disk.stats.record_run(charges)
             peak_cells = max(peak_cells, cells)
             yield ctx.emit(MatchBlock(outer_doc=outer_id, matches=matches))
 

@@ -18,7 +18,7 @@ their I/O differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.cost.params import JoinSide, QueryParams, SystemParams
 from repro.errors import JoinError
@@ -296,28 +296,37 @@ def scan_with_block_seeks(disk: SimulatedDisk, extent: Extent, leftover_pages: f
 RANK_BLOCK_CELLS = 1 << 18
 
 
-def block_ranker(
-    environment: JoinEnvironment, spec: TextJoinSpec, inner_ids: Sequence[int] | None
-) -> Callable[[Sequence[int], Sequence[Any]], tuple[list[Matches], list[int]]]:
-    """A function ranking a block of C2 ids and documents (read, and charged,
-    by the caller) against the in-memory ``inverted1`` in one
-    :meth:`Kernels.rank` call: final matches and touched cells per document."""
+def compute_ahead(
+    environment: JoinEnvironment,
+    spec: TextJoinSpec,
+    inner_ids: Sequence[int] | None,
+    order: Sequence[int],
+    block_cells: int,
+    grow: bool,
+) -> Iterator[tuple[int, Matches, int]]:
+    """``(doc_id, matches, cells)`` per C2 id of ``order``, scored from the
+    in-memory snapshot with one :meth:`Kernels.rank` per block of at most
+    ``block_cells // N1`` ids, the next block only once this one is
+    drained; with ``grow`` blocks start at one id and double (for LIMIT).
+    Nothing here reads or charges a page."""
     kernels, inverted1 = environment.kernels, environment.inverted1
     n_docs = environment.collection1.n_documents
     norms1 = environment.norms1() if spec.normalized else None
     norms2 = environment.norms2() if spec.normalized else None
     prepared_norms1 = kernels.prepare_norms(norms1, n_docs)
     prepared_filter = kernels.prepare_filter(inner_ids, n_docs)
-
-    def rank(block, docs):
-        terms = {term for doc in docs for term, _ in doc.cells}
-        found = {term: inverted1.entry(term) for term in terms if term in inverted1}
+    cap = max(block_cells // max(n_docs, 1), 1)
+    size, position = (1 if grow else cap), 0
+    while position < len(order):
+        block = order[position : position + size]
+        position += len(block)
+        size = min(2 * size, cap)
         norms = [norms2[doc_id] if norms2 is not None else 0.0 for doc_id in block]
-        return kernels.rank(
-            docs, found, spec.lam, prepared_norms1, norms, prepared_filter, n_docs
+        ranked = kernels.rank(
+            block, environment.collection2, inverted1, spec.lam,
+            prepared_norms1, norms, prepared_filter, n_docs,
         )
-
-    return rank
+        yield from zip(block, *ranked)
 
 
 def _resolve_ids(
@@ -359,7 +368,7 @@ __all__ = [
     "SystemParams",
     "TextJoinResult",
     "TextJoinSpec",
-    "block_ranker",
+    "compute_ahead",
     "resolve_inner_ids",
     "resolve_outer_ids",
     "scan_with_block_seeks",

@@ -11,25 +11,26 @@ split into ``ceil(SM / M)`` sub-collections and the whole merge scan is
 repeated per sub-collection — the Section 4.3 extension, and the source
 of VVM's multiplicative cost blow-up on document-rich collections.
 
-Streaming: :func:`iter_vvm` charges a pass, then scores it — the
-partition's documents against the in-memory C1 inverted file, one
-:meth:`~repro.kernels.base.Kernels.rank` call per sub-block of at most
-``RANK_BLOCK_CELLS // N1`` documents, whose
-:class:`~repro.exec.stream.MatchBlock`\\ s are yielded right after.
+Streaming: :func:`iter_vvm` charges a pass as one
+:meth:`~repro.storage.iostats.IOStats.record_run` of the merge plan —
+both files' per-record charges in the merge's pull order, built once
+per run — then emits its partition's blocks, scored ahead and across
+passes in full blocks (:func:`~repro.core.join.compute_ahead`).
 Nothing waits for the *other* partitions.  :func:`run_vvm` is the
 materializing :func:`~repro.exec.stream.collect` wrapper.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Any, Iterator, Sequence
 
 from repro.core.join import (
     RANK_BLOCK_CELLS,
     JoinEnvironment,
     TextJoinResult,
     TextJoinSpec,
-    block_ranker,
+    compute_ahead,
     resolve_inner_ids,
     resolve_outer_ids,
 )
@@ -90,56 +91,31 @@ def iter_vvm(
     ] or [[]]
     actual_passes = len(chunks)
 
-    rank_block = block_ranker(environment, spec, inner_ids)
-    docs2 = environment.docs2
+    scored = compute_ahead(
+        environment, spec, inner_ids, participating, RANK_BLOCK_CELLS, grow=False
+    )
+    plan = _merge_plan(disk, inv1_extent, inv2_extent, interference=interference)
     n_inner_docs = environment.collection1.n_documents
-    block_cap = max(RANK_BLOCK_CELLS // max(n_inner_docs, 1), 1)
-    # Surviving C1 postings per term: the posting-pair products (the unit
-    # of repro.cost.cpu) that each outer cell of the term costs.
-    entries = environment.inverted1.entries
-    if inner_ids is None:
-        inner_df = {e.term: len(e.postings) for e in entries}
-    else:
-        inner = set(inner_ids)
-        inner_df = {e.term: sum(d in inner for d, _ in e.postings) for e in entries}
+    # Posting-pair products (the unit of repro.cost.cpu): each term pairs
+    # its participating C2 postings with its surviving C1 postings.
+    df1 = _frequencies(environment.collection1, environment.inverted1, inner_ids)
+    df2 = _frequencies(environment.collection2, environment.inverted2, outer_ids)
+    cpu_ops = sum(df * df1.get(term, 0) for term, df in df2.items())
     peak_cells_overall = 0
-    cpu_ops = 0
 
     with environment.execution_scope(ctx):
         for chunk in chunks:
             ctx.checkpoint()
             with ctx.phase("vvm.merge"):
-                scan1 = disk.scan_records(inv1_extent, interference=interference)
-                scan2 = disk.scan_records(inv2_extent, interference=interference)
-                entry1 = next(scan1, None)
-                entry2 = next(scan2, None)
-                # No arithmetic; the interleave decides which read crosses a budget.
-                while entry1 is not None and entry2 is not None:
-                    term1 = entry1[1].term
-                    term2 = entry2[1].term
-                    if term1 <= term2:
-                        entry1 = next(scan1, None)
-                    if term2 <= term1:
-                        entry2 = next(scan2, None)
-                # Drain the remainder of both scans: the merge reads each
-                # file to its end (the cost model charges the full I1 + I2
-                # per pass).
-                for _ in scan1:
-                    pass
-                for _ in scan2:
-                    pass
+                disk.stats.record_run(plan)
 
-            # This partition's pass is charged: score it from memory.
+            # This partition's pass is charged: emit its scores.
             pass_cells = 0
-            for start in range(0, len(chunk), block_cap):
-                block = chunk[start : start + block_cap]
-                docs = [docs2.payload(doc_id) for doc_id in block]
-                cpu_ops += sum(inner_df.get(t, 0) for doc in docs for t, _ in doc.cells)
-                for outer_doc, matches, cells in zip(block, *rank_block(block, docs)):
-                    pass_cells += cells
-                    if not spec.normalized:  # exact integer sums stay ints
-                        matches = tuple((doc, int(sim)) for doc, sim in matches)
-                    yield ctx.emit(MatchBlock(outer_doc=outer_doc, matches=matches))
+            for outer_doc, matches, cells in islice(scored, len(chunk)):
+                pass_cells += cells
+                if not spec.normalized:  # exact integer sums stay ints
+                    matches = tuple((doc, int(sim)) for doc, sim in matches)
+                yield ctx.emit(MatchBlock(outer_doc=outer_doc, matches=matches))
             peak_cells_overall = max(peak_cells_overall, pass_cells)
 
     measured_delta = (
@@ -162,6 +138,31 @@ def iter_vvm(
             "cpu_ops": cpu_ops,
         },
     )
+
+
+def _frequencies(collection: Any, inverted: Any, ids: Any) -> dict[int, int]:
+    """Per term, the postings whose document is in ``ids`` (all without)."""
+    if ids is None:
+        return collection.document_frequency()
+    ids = set(ids)
+    return {e.term: sum(d in ids for d, _ in e.postings) for e in inverted.entries}
+
+
+def _merge_plan(disk: Any, *extents: Any, interference: bool) -> list[Any]:
+    """One merge pass's charges, in the order the merge pulls the records.
+
+    After both heads, the merge advances past the smaller head term (on
+    a tie file 1, then file 2) and the drains keep that order, so records
+    are pulled in order of (the previous record's term, file).
+    """
+    keyed = []
+    for side, extent in enumerate(extents):
+        previous = -1  # term numbers are non-negative: the head comes first
+        for _, entry, seq, rnd in disk.scan_charges(extent, interference=interference):
+            if seq or rnd:
+                keyed.append((previous, side, extent.name, seq, rnd))
+            previous = entry.term
+    return [(name, seq, rnd) for _, _, name, seq, rnd in sorted(keyed)]
 
 
 def run_vvm(

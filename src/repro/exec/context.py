@@ -266,6 +266,10 @@ class ExecutionContext:
         stats.subscribe(self._on_record)
         state.attached = stats
         state.baseline = baseline
+        previous = stats.page_ceiling  # published: a run inside it may fold
+        if self.budget.pages is not None:
+            headroom = stats.total_reads + self.budget.pages - state.pages_used
+            stats.page_ceiling = min(previous, headroom)
         try:
             yield self
         finally:
@@ -275,6 +279,7 @@ class ExecutionContext:
             state.attached = None
             state.baseline = None
             stats.unsubscribe(self._on_record)
+            stats.page_ceiling = previous
 
     def phase(self, name: str) -> "_Phase":
         """Scope a named I/O phase; its stats delta lands in :attr:`phase_stats`."""

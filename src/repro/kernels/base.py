@@ -25,7 +25,7 @@ Shapes and conventions:
   ``(id, similarity)`` tuples.  The defaults run ``TopK`` over the
   candidate iterators — the reference a batched override must equal;
 * :meth:`Kernels.rank` is HVNL's and VVM's scorer: the final matches of
-  a whole block of outer documents, from in-memory inverted entries.
+  a block of C2 rows against C1's in-memory inverted file.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.topk import TopK
+from repro.text.collection import DocumentCollection
 from repro.text.document import Document
 
 Matches = tuple[tuple[int, float], ...]
@@ -224,8 +225,9 @@ class Kernels:
 
     def rank(
         self,
-        docs: Sequence[Document],
-        entries: Mapping[int, Any],
+        rows: Sequence[int],
+        outer: DocumentCollection,
+        inverted: Any,
         lam: int,
         prepared_norms: Any | None,
         outer_norms: Sequence[float],
@@ -234,18 +236,20 @@ class Kernels:
     ) -> tuple[list[Matches], list[int]]:
         """HVNL's and VVM's scoring of a block of outer documents against C1.
 
-        ``entries`` maps each of the block's terms found in C1 to its
-        inverted entry.  Returns, per document (one outer norm each),
-        the final top-``lam`` matches and the number of accumulator
-        cells it touched.  The default is HVNL's original loop, one
-        :class:`SparseScores` per document.
+        ``rows`` are ids of ``outer`` (C2), ``inverted`` is C1's in-memory
+        inverted file.  Returns, per row (one outer norm each), the final
+        top-``lam`` matches and the number of accumulator cells it
+        touched.  The default is HVNL's original loop, one
+        :class:`SparseScores` per document and one ``inverted.get`` per
+        term.
         """
         matches, cells = [], []
-        for doc, norm in zip(docs, outer_norms):
+        for row, norm in zip(rows, outer_norms):
             scores = self.sparse_scores(n_docs, prepared_filter)
-            for term, weight in doc.cells:
-                if term in entries:
-                    scores.add_entry(entries[term], weight)
+            for term, weight in outer.documents[row].cells:
+                entry = inverted.get(term)
+                if entry is not None:
+                    scores.add_entry(entry, weight)
             matches.append(scores.ranked_matches(lam, prepared_norms, norm))
             cells.append(scores.peak_cells)
         return matches, cells

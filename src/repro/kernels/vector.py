@@ -11,10 +11,10 @@ is never the single pair — it is the *bulk* op:
   (:func:`_term_join`: a dense product for the frequent terms, a ragged
   scatter-add for the rest) scores the whole chunk against every
   collected document at once;
-* HVNL and VVM blocks — :meth:`VectorKernels.rank` scores a block of
-  outer documents against their terms' postings in the same term join
-  (:class:`VectorSparseScores`, one ``bincount`` per document, remains
-  for the benchmark spine's layer probes);
+* HVNL and VVM blocks — :meth:`VectorKernels.rank` scores rows sliced
+  from C2's CSR arrays against postings sliced from C1's CSC arrays
+  (built once per snapshot) in the same term join (the per-document
+  :class:`VectorSparseScores` remains for the spine's layer probes);
 * pair accumulation (layer probes only) — :meth:`VectorPairScores.add_block`
   buffers the (outer, inner) batch pair per matched term; the flush is
   the same term join, with the block index standing in for the term.
@@ -36,11 +36,14 @@ touched, and cell counts only grow within a pass.
 
 from __future__ import annotations
 
+import weakref
+from itertools import chain
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.kernels.base import ChunkScorer, Kernels, Matches, PairScores, SparseScores
+from repro.text.collection import DocumentCollection
 from repro.text.document import Document
 
 _TAG = "numpy"
@@ -609,34 +612,74 @@ class VectorKernels(Kernels):
 
     def rank(
         self,
-        docs: Sequence[Document],
-        entries: Mapping[int, Any],
+        rows: Sequence[int],
+        outer: DocumentCollection,
+        inverted: Any,
         lam: int,
         prepared_norms: np.ndarray | None,
         outer_norms: Sequence[float],
         prepared_filter: np.ndarray | None,
         n_docs: int,
     ) -> tuple[list[Matches], list[int]]:
-        """One term join of the block's cells against its terms' postings."""
-        empty = np.empty(0, dtype=np.int64)  # a trailing pack: no empty concatenate
-        doc_terms, doc_weights = zip(*map(_pack_document, docs), (empty, empty))
-        cat_terms = np.concatenate(doc_terms)
-        order = np.argsort(cat_terms, kind="stable")
-        posting_ids, weights = zip(*map(_pack_entry, entries.values()), (empty, empty))
-        terms = np.fromiter(entries, dtype=np.int64, count=len(entries))
-        terms = np.repeat(terms, [len(ids) for ids in posting_ids[:-1]])
-        ids, weights = np.concatenate(posting_ids), np.concatenate(weights)
+        """One term join of the rows' cells, sliced from C2's CSR arrays,
+        against their terms' postings, sliced from C1's CSC arrays."""
+        doc_ptr, cell_terms, cell_weights = _arrays(outer)
+        term_ptr, posting_ids, posting_weights, terms = _arrays(inverted)
+        picked, sizes = _segments(doc_ptr, np.asarray(rows, dtype=np.int64))
+        block_terms = cell_terms[picked]
+        order = np.argsort(block_terms, kind="stable")
+        distinct = np.unique(block_terms)
+        slots = np.searchsorted(terms, distinct)
+        found = slots < len(terms)
+        found[found] = terms[slots[found]] == distinct[found]
+        postings, df = _segments(term_ptr, slots[found])
+        ids, weights = posting_ids[postings], posting_weights[postings]
+        posting_terms = np.repeat(distinct[found], df)
         if prepared_filter is not None:
             allowed = prepared_filter[ids]
-            ids, weights, terms = ids[allowed], weights[allowed], terms[allowed]
-        rows = _part_index(doc_terms)[order]
+            ids, weights = ids[allowed], weights[allowed]
+            posting_terms = posting_terms[allowed]
         matrix = _term_join(
-            cat_terms[order], np.concatenate(doc_weights)[order], rows, len(docs),
-            terms, weights, ids, n_docs,
+            block_terms[order], cell_weights[picked][order],
+            np.repeat(np.arange(len(sizes)), sizes)[order], len(sizes),
+            posting_terms, weights, ids, n_docs,
         )
         # Contributions are positive: non-zero cells == touched cells.
         cells = np.count_nonzero(matrix, axis=1).tolist()
         return _ranked_rows(matrix, lam, prepared_norms, outer_norms), cells
+
+
+#: C2's CSR and C1's CSC arrays per immutable snapshot object, alive as
+#: long as it; two threads' first uses may both build (equal) arrays
+_ARRAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _arrays(snapshot: Any) -> tuple[np.ndarray, ...]:
+    """A collection's ``(doc_ptr, terms, weights)`` or an inverted file's
+    ``(term_ptr, doc_ids, weights, terms)``, built on first use."""
+    arrays = _ARRAYS.get(snapshot)
+    if arrays is None:
+        if isinstance(snapshot, DocumentCollection):
+            groups, keys = [doc.cells for doc in snapshot.documents], ()
+        else:
+            entries = snapshot.entries
+            groups = [entry.postings for entry in entries]
+            keys = (np.fromiter((e.term for e in entries), np.int64, len(entries)),)
+        ptr = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, groups), np.int64, len(groups)), out=ptr[1:])
+        pairs = chain.from_iterable(chain.from_iterable(groups))
+        flat = np.fromiter(pairs, np.int64, 2 * int(ptr[-1])).reshape(-1, 2)
+        arrays = _ARRAYS[snapshot] = (ptr, flat[:, 0].copy(), flat[:, 1].copy(), *keys)
+    return arrays
+
+
+def _segments(ptr: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``picks``' segments under ``ptr``, concatenated,
+    and each segment's length."""
+    starts = ptr[picks]
+    sizes = ptr[picks + 1] - starts
+    offsets = starts - np.cumsum(sizes) + sizes  # segment start minus its output start
+    return np.arange(sizes.sum()) + np.repeat(offsets, sizes), sizes
 
 
 __all__ = [

@@ -13,7 +13,7 @@ shared :class:`~repro.storage.pages.PageGeometry`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.errors import StorageError
 from repro.storage.policies import ReplacementPolicy
@@ -108,6 +108,28 @@ class ObjectBuffer:
         self.policy.admitted(key, priority)
         self._make_room(0)
         return key in self._resident
+
+    def offer_run(self, keys: Iterable[Hashable], lookup: Callable) -> tuple[list, ...]:
+        """One probe round: :meth:`get` every key, then offer to :meth:`insert`
+        each missing key that ``lookup`` prices as a row ``(payload, n_bytes,
+        priority, ...)`` (``None`` skips it).  Returns the hit payloads and
+        the rows, each in key order."""
+        hits, missing, rows = [], [], []
+        for key in keys:
+            obj = self._resident.get(key)
+            if obj is None:
+                missing.append(key)
+            else:
+                hits.append(obj.payload)
+                self.policy.accessed(key)
+        self.hits += len(hits)
+        self.misses += len(missing)
+        for key in missing:
+            row = lookup(key)
+            if row is not None:
+                rows.append(row)
+                self.insert(key, row[0], row[1], row[2])
+        return hits, rows
 
     def discard(self, key: Hashable) -> bool:
         """Remove ``key`` without counting an eviction (explicit drop)."""

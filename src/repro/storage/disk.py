@@ -22,7 +22,7 @@ their inputs and the paper does not cost result output.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, ContextManager, Iterator
+from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.storage.extents import Extent, RecordSpan
@@ -113,29 +113,41 @@ class SimulatedDisk:
 
     # --- read paths ---------------------------------------------------------
 
-    def scan_records(
+    def scan_charges(
         self, extent: Extent, *, interference: bool = False
-    ) -> Iterator[tuple[RecordSpan, Any]]:
-        """Yield every record in storage order, charging each page once.
+    ) -> Iterator[tuple[RecordSpan, Any, int, int]]:
+        """Every record in storage order with the ``(sequential, random)``
+        pages a scan charges on reaching it, uncharged (``(0, 0)`` when
+        all its pages were read).
 
-        A full pass transfers exactly ``extent.n_pages`` pages.  Without
+        A full pass prices exactly ``extent.n_pages`` pages.  Without
         interference all of them are sequential.  With interference the
         first page newly read for each record is random (the drive served
         another job while the previous record was processed), reproducing
         the paper's ``min(D, N)`` random reads per scan.
         """
-        n_pages = extent.n_pages
-        pages_read_through = -1  # highest page already transferred this pass
+        read_through = -1  # highest page already transferred this pass
         for span, payload in extent.records():
-            last_page = span.last_page
-            # A trailing empty record sits on page n_pages, which holds nothing.
-            if pages_read_through < last_page < n_pages:
-                new_pages = last_page - max(span.first_page, pages_read_through + 1) + 1
-                if interference:
-                    self.stats.record(extent.name, random=1, sequential=new_pages - 1)
-                else:
-                    self.stats.record(extent.name, sequential=new_pages)
-                pages_read_through = last_page
+            sequential = random = 0
+            if span.last_page > read_through:
+                sequential, random, read_through = _price(
+                    extent, span.first_page, span.last_page, read_through, interference
+                )
+            yield span, payload, sequential, random
+
+    def scan_records(
+        self, extent: Extent, *, interference: bool = False
+    ) -> Iterator[tuple[RecordSpan, Any]]:
+        """Yield every record in storage order, charging what :meth:`scan_charges`
+        prices (the same walk and pricing, without a generator per record)."""
+        read_through = -1
+        for span, payload in extent.records():
+            if span.last_page > read_through:
+                sequential, random, read_through = _price(
+                    extent, span.first_page, span.last_page, read_through, interference
+                )
+                if sequential or random:
+                    self.stats.record(extent.name, sequential=sequential, random=random)
             yield span, payload
 
     def scan_pages(self, extent: Extent, *, interference: bool = False) -> int:
@@ -172,23 +184,37 @@ class SimulatedDisk:
             self.stats.record(extent.name, sequential=sequential, random=random)
         return payload
 
-    def read_run(self, extent: Extent, first_record: int, n_records: int) -> list[Any]:
-        """Fetch ``n_records`` consecutive records with one seek.
-
-        Models reading a block of documents that are adjacent in storage:
-        one random read to position, then sequential streaming.  Used by
-        executors that read the outer collection in chunks after a
-        selection has been applied.
-        """
-        if n_records <= 0:
-            raise StorageError(f"n_records must be positive, got {n_records}")
-        first_span = extent.span(first_record)
-        last_span = extent.span(first_record + n_records - 1)
-        last_page = min(last_span.last_page, extent.n_pages - 1)
-        n_pages = last_page - first_span.first_page + 1
-        if n_pages > 0:
-            self.stats.record(extent.name, random=1, sequential=n_pages - 1)
-        return [extent.payload(r) for r in range(first_record, first_record + n_records)]
+    def read_runs(
+        self, extent: Extent, runs: Iterable[Sequence[int]], *, interference: bool
+    ) -> Iterator[list[Any]]:
+        """Per pull, one run of ascending record ids: read through from its
+        first record to its last, charged for the pages no earlier run
+        read (priced as :meth:`scan_charges` prices a record: one seek
+        under interference), yielding the run's own payloads."""
+        read_through = -1
+        for run in runs:
+            if not run:
+                raise StorageError("a run needs at least one record")
+            first, last = extent.span(run[0]), extent.span(run[-1])
+            sequential, random, read_through = _price(
+                extent, first.first_page, last.last_page, read_through, interference
+            )
+            if sequential or random:
+                self.stats.record(extent.name, sequential=sequential, random=random)
+            yield [extent.payload(record_id) for record_id in run]
 
     def __repr__(self) -> str:
         return f"SimulatedDisk(extents={sorted(self._extents)}, {self.stats})"
+
+
+def _price(
+    extent: Extent, first: int, last: int, read_through: int, interference: bool
+) -> tuple[int, int, int]:
+    """``(sequential, random, read_through)`` of reading pages ``first`` to
+    ``last`` after pages up to ``read_through``: the pages not read yet and
+    inside the extent, the first random under interference."""
+    last = min(last, extent.n_pages - 1)
+    new_pages = last - max(first, read_through + 1) + 1
+    if new_pages <= 0:
+        return 0, 0, read_through
+    return (new_pages - 1, 1, last) if interference else (new_pages, 0, last)

@@ -11,8 +11,9 @@ threaded through the simulated disk and the join executors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import InvalidParameterError
 
@@ -43,6 +44,9 @@ class IOStats:  # repro: ignore[RA-FROZEN] -- the one mutable I/O counter, by de
     _observers: list[IOObserver] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: total reads past which the execution guard watching this counter
+    #: raises; the guard publishes it and restores it on detach
+    page_ceiling: float = field(default=math.inf, repr=False, compare=False)
 
     def record(self, extent_name: str, *, sequential: int = 0, random: int = 0) -> None:
         """Add page reads attributed to one extent."""
@@ -54,6 +58,25 @@ class IOStats:  # repro: ignore[RA-FROZEN] -- the one mutable I/O counter, by de
         self.by_extent[extent_name] = (seq0 + sequential, rnd0 + random)
         for observer in self._observers:
             observer(extent_name, sequential, random)
+
+    def record_run(self, run: Sequence[tuple[str, int, int]]) -> None:
+        """One :meth:`record` per ``(extent, sequential, random)``, in order;
+        folded into one per extent, in first-touch order (observers see the
+        sums), when every count is non-negative and the run stays within
+        :attr:`page_ceiling`, so a budget still raises at the exact element."""
+        totals: dict[str, tuple[int, int]] = {}
+        pages = self.sequential_reads + self.random_reads
+        for name, sequential, random in run:
+            if sequential < 0 or random < 0:
+                break
+            seq0, rnd0 = totals.get(name, (0, 0))
+            totals[name] = (seq0 + sequential, rnd0 + random)
+            pages += sequential + random
+        else:
+            if pages <= self.page_ceiling:
+                run = [(name, seq, rnd) for name, (seq, rnd) in totals.items()]
+        for name, sequential, random in run:
+            self.record(name, sequential=sequential, random=random)
 
     def subscribe(self, observer: IOObserver) -> None:
         """Register an observer called after every :meth:`record`."""

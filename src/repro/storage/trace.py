@@ -13,6 +13,7 @@ Tracing is opt-in and zero-cost when absent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -117,6 +118,8 @@ class TracingIOStats(IOStats):  # repro: ignore[RA-FROZEN] -- mutable like its I
     """
 
     trace: IOTrace = field(default_factory=IOTrace)
+    #: no run fits under it, so ``record_run`` replays every event
+    page_ceiling: float = field(default=-math.inf, repr=False, compare=False)
 
     def record(self, extent_name: str, *, sequential: int = 0, random: int = 0) -> None:
         """Count the reads and append the trace event."""

@@ -54,6 +54,12 @@ class TestRuleFiring:
         # charged_read (line 14) reads payloads after charging — clean
         assert all(f.line < 11 for f in found)
 
+    def test_core_io_rule_counts_a_charge_run(self):
+        # record_run charges; scan_charges only prices
+        _, found = findings_for("core/run_io.py", "RA-CORE-IO")
+        assert [f.line for f in found] == [7]
+        assert "without charging IOStats" in found[0].message
+
     def test_context_rule(self):
         _, found = findings_for("core/private_counter.py", "RA-CONTEXT")
         assert [f.line for f in found] == [8, 15]
@@ -167,6 +173,19 @@ class TestRuleFiring:
         assert "yields inside a ctx.phase(...)" in messages
         # iter_disciplined (line 26+) satisfies all three contracts
         assert all(f.line < 26 for f in found)
+
+    def test_stream_discipline_rule_counts_a_charge_run(self):
+        _, found = findings_for("exec/run_stream_bad.py", "RA-STREAM")
+        assert [f.line for f in found] == [6]
+        assert "outside any execution_scope()/guard()" in found[0].message
+        # a priced scan (line 14) needs no guard; the guarded runs are clean
+
+    def test_cost_purity_counts_a_charge_run(self):
+        _, found = findings_for("cost/run_charge.py", "RA-COST-PURITY")
+        assert [f.line for f in found] == [14]
+        assert "charging_cost -> repro.cost.run_charge._charge" in found[0].message
+        assert "charges I/O via .record_run()" in found[0].message
+        # pricing_cost reaches only scan_charges and stays clean
 
     def test_stale_suppression_rule(self):
         _, found = findings_for("stale.py", "RA-STALE-SUPPRESS")

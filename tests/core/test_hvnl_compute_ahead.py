@@ -61,9 +61,9 @@ class Spy:
         kernels = environment.kernels
         rank = kernels.rank
 
-        def recording_rank(docs, *args):
-            spy.blocks.append(len(docs))
-            return rank(docs, *args)
+        def recording_rank(rows, *args):
+            spy.blocks.append(len(rows))
+            return rank(rows, *args)
 
         monkeypatch.setattr(kernels, "rank", recording_rank)
 

@@ -300,3 +300,52 @@ def test_an_empty_outer_selection_keeps_one_empty_pass(collections):
     assert result.matches == {}
     assert result.extras == GOLDEN_EMPTY
 
+
+
+#: case -> (page budget, blocks emitted, pages used, partial by_extent): the
+#: 70th page falls in the second pass's merge, recorded before VVM scored
+#: ahead across passes and charged a pass as one run
+GOLDEN_CROSSINGS = {
+    "plain": (69, 37, 70, {"c1.inv": (44, 0), "c2.inv": (26, 0)}),
+    "interference": (69, 37, 70, {"c1.inv": (2, 42), "c2.inv": (0, 26)}),
+    "normalized": (69, 37, 70, {"c1.inv": (44, 0), "c2.inv": (26, 0)}),
+    "outer-selection": (69, 27, 70, {"c1.inv": (44, 0), "c2.inv": (26, 0)}),
+    "inner-selection": (69, 55, 70, {"c1.inv": (44, 0), "c2.inv": (26, 0)}),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case", sorted(GOLDEN_CROSSINGS))
+def test_a_crossing_mid_pass_is_pinned(collections, case, kernel):
+    budget, emitted, pages_used, partial = GOLDEN_CROSSINGS[case]
+    lam, normalized, kwargs = CASES[case]
+    context = ExecutionContext(budget=ExecutionBudget(pages=budget))
+    stream = iter_vvm(
+        environment(collections, kernel),
+        TextJoinSpec(lam=lam, normalized=normalized),
+        SYSTEM,
+        context=context,
+        **kwargs,
+    )
+    pulled = 0
+    with pytest.raises(BudgetExceededError) as caught:
+        for _ in stream:
+            pulled += 1
+    assert pulled == emitted
+    assert caught.value.pages_used == pages_used
+    assert caught.value.stats.by_extent == partial
+    assert {name: s.by_extent for name, s in context.phase_stats.items()} == {
+        "vvm.merge": partial
+    }
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"interference": True}])
+def test_close_after_the_first_pass_charges_no_second(collections, kwargs):
+    env = environment(collections)
+    stream = iter_vvm(env, TextJoinSpec(lam=3), SYSTEM, **kwargs)
+    for _ in range(CHUNK):  # every block of the first pass
+        next(stream)
+    before = env.disk.stats.snapshot()
+    stream.close()
+    assert env.disk.stats == before
+    assert sum(map(sum, before.by_extent.values())) == sum(map(sum, PASS.values()))

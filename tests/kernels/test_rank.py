@@ -1,33 +1,30 @@
 """``Kernels.rank`` on numpy against the base default over scalar.
 
-HVNL emits ``rank``'s tuples verbatim and folds its per-row cell counts
-into ``peak_accumulator_cells``, so the one-term-join override must
-return exactly what the default — one scalar accumulator per outer
-document — returns: same documents, order, similarities and number
-types, and the same touched-cell count per row.
+Both read the same snapshot: C2's rows from its collection, C1's
+postings from its inverted file (numpy slices the arrays it builds from
+them).  HVNL emits ``rank``'s tuples verbatim and folds its per-row
+cell counts into ``peak_accumulator_cells``, so the one-term-join
+override must return exactly what the default — one scalar accumulator
+per outer document — returns: same documents, order, similarities and
+number types, and the same touched-cell count per row.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.index.inverted import InvertedFile
 from repro.kernels import resolve_kernels, vector
-from tests.kernels.test_ranked_matches import (
-    cell_maps,
-    collection,
-    invert,
-    norms_of,
-    typed,
-)
+from repro.text.collection import DocumentCollection
+from tests.kernels.test_ranked_matches import cell_maps, collection, norms_of, typed
 
 
 def rank(backend, c1, block, lam, *, norms1=None, norms2=None, inner_ids=None):
     kernels = resolve_kernels(backend)
-    inverted1 = invert(c1)
-    terms = {term for doc in block for term, _ in doc.cells}
     return kernels.rank(
-        block,
-        {term: inverted1[term] for term in terms if term in inverted1},
+        [doc.doc_id for doc in block],
+        DocumentCollection("c2", block),
+        InvertedFile.build(DocumentCollection("c1", c1)),
         lam,
         kernels.prepare_norms(norms1, len(c1)),
         [norms2[doc.doc_id] if norms2 is not None else 0.0 for doc in block],

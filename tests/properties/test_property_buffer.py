@@ -76,6 +76,9 @@ class TestAccounting:
 
 
 # --- model check: one eviction loop against one eviction per call -----------
+#
+# ``offer_run`` rides along: one probe round must equal the ``get``-then-
+# ``insert`` sequence HVNL made per document before it was one call.
 
 
 class ReferenceLDF(LowestDocFrequencyPolicy):
@@ -134,6 +137,23 @@ class ReferenceBuffer:
         self.policy.evicted(key)
         return True
 
+    def offer_run(self, keys, lookup):
+        """The probe round as HVNL made it: every ``get``, then one
+        ``insert`` per missing key its lookup prices."""
+        hits, missing, rows = [], [], []
+        for key in keys:
+            payload = self.get(key)
+            if payload is None:
+                missing.append(key)
+            else:
+                hits.append(payload)
+        for key in missing:
+            row = lookup(key)
+            if row is not None:
+                rows.append(row)
+                self.insert(key, row[0], row[1], row[2])
+        return hits, rows
+
     def _evict_one(self):
         victim = self.policy.victim()
         self.used_bytes -= self.resident.pop(victim)[1]
@@ -187,6 +207,20 @@ model_operations = st.lists(
         # re-offer a key with a grown size (a plain insert when absent)
         st.tuples(st.just("grow"), model_keys, st.sampled_from([10, 20, 40]), model_frequencies),
         st.tuples(st.just("oversize"), model_keys, st.integers(1, 20)),
+        # one probe round: the keys, and per key no entry or (size, frequency)
+        st.tuples(
+            st.just("offer"),
+            st.lists(model_keys, unique=True, max_size=5),
+            st.dictionaries(
+                model_keys,
+                st.one_of(
+                    st.none(),
+                    st.tuples(
+                        st.one_of(model_sizes, st.just("oversize")), model_frequencies
+                    ),
+                ),
+            ),
+        ),
     ),
     max_size=80,
 )
@@ -202,6 +236,14 @@ def play(buf, ops, size_of):
             results.append(buf.insert(key, f"g{key}", size_of(key) + op[2], op[3]))
         elif kind == "oversize":
             results.append(buf.insert(key, f"o{key}", buf.budget_bytes + op[2]))
+        elif kind == "offer":
+            table = {}
+            for term, row in op[2].items():
+                if row is not None:
+                    size = buf.budget_bytes + 1 if row[0] == "oversize" else row[0]
+                    row = (f"f{term}", size, row[1])
+                table[term] = row
+            results.append(buf.offer_run(key, table.get))
         elif kind == "discard":
             results.append(buf.discard(key))
         else:

@@ -167,6 +167,25 @@ class TestResidentUpdate:
         assert buf.n_resident == 1
 
 
+class TestOfferRun:
+    def test_every_lookup_precedes_every_admission(self):
+        buf = make_buffer(budget=20)
+        buf.insert("b", "pb", 10)
+        buf.insert("c", "pc", 10)  # full: admitting "a" evicts the LRU key
+        hits, rows = buf.offer_run(["a", "b", "c"], {"a": ("pa", 10, 0)}.get)
+        assert hits == ["pb", "pc"]  # "a" was admitted after both hit
+        assert rows == [("pa", 10, 0)]
+        assert (buf.hits, buf.misses, buf.evictions) == (2, 1, 1)
+        assert sorted(buf.keys()) == ["a", "c"]
+
+    def test_unpriced_and_oversize_misses(self):
+        buf = make_buffer(budget=20)
+        table = {"big": ("pbig", 30, 0), "none": None}
+        hits, rows = buf.offer_run(["big", "none", "gone"], table.get)
+        assert hits == [] and rows == [("pbig", 30, 0)]
+        assert (buf.misses, buf.rejected, buf.n_resident) == (3, 1, 0)
+
+
 class TestDiscardAndClear:
     def test_discard(self):
         buf = make_buffer()

@@ -156,7 +156,7 @@ class TestReadRun:
         disk = make_disk(page_bytes=100)
         extent = disk.create_extent("docs")
         fill(extent, [100] * 10)
-        payloads = disk.read_run(extent, 2, 4)
+        payloads = next(disk.read_runs(extent, [[2, 3, 4, 5]], interference=True))
         assert payloads == ["r2", "r3", "r4", "r5"]
         assert disk.stats.random_reads == 1
         assert disk.stats.sequential_reads == 3
@@ -166,7 +166,30 @@ class TestReadRun:
         extent = disk.create_extent("docs")
         fill(extent, [10])
         with pytest.raises(StorageError):
-            disk.read_run(extent, 0, 0)
+            next(disk.read_runs(extent, [[]], interference=False))
+
+    @pytest.mark.parametrize("interference", [False, True])
+    def test_runs_read_through_what_earlier_runs_left(self, interference):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [60, 60, 60, 60, 60, 200, 60])  # pages 0-5
+        runs = disk.read_runs(extent, [[0, 2], [3, 6]], interference=interference)
+        assert next(runs) == ["r0", "r2"]  # pages 0-1, record 1 read through
+        assert disk.stats.total_reads == 2
+        assert disk.stats.random_reads == (1 if interference else 0)
+        assert disk.stats.sequential_reads == (1 if interference else 2)
+        assert next(runs) == ["r3", "r6"]  # page 1 is read: pages 2-5
+        assert disk.stats.total_reads == 6
+        assert disk.stats.random_reads == (2 if interference else 0)
+        assert next(runs, None) is None
+
+    def test_a_run_past_skipped_pages_reads_from_its_own_first_page(self):
+        disk = make_disk(page_bytes=100)
+        extent = disk.create_extent("docs")
+        fill(extent, [100, 100, 100, 100])
+        runs = disk.read_runs(extent, [[0], [3]], interference=False)
+        assert [next(runs), next(runs)] == [["r0"], ["r3"]]
+        assert disk.stats.by_extent == {"docs": (2, 0)}
 
 
 class TestNegativeRecordId:
@@ -176,8 +199,10 @@ class TestNegativeRecordId:
         "read",
         [
             lambda disk, extent: disk.read_record(extent, -1),
-            lambda disk, extent: disk.read_run(extent, -1, 1),
-            lambda disk, extent: disk.read_run(extent, -1, 2),
+            lambda disk, extent: next(disk.read_runs(extent, [[-1]], interference=True)),
+            lambda disk, extent: next(
+                disk.read_runs(extent, [[-1, 0, 1]], interference=True)
+            ),
             lambda disk, extent: extent.payload(-1),
             lambda disk, extent: extent.span(-2),
         ],
@@ -239,9 +264,9 @@ class TestTrailingEmptyRecord:
         disk = make_disk(page_bytes=100)
         extent = disk.create_extent("docs")
         fill(extent, [100, 100, 0])
-        assert disk.read_run(extent, 1, 2) == ["r1", "r2"]
+        assert next(disk.read_runs(extent, [[1, 2]], interference=True)) == ["r1", "r2"]
         assert disk.stats.by_extent == {"docs": (0, 1)}
-        assert disk.read_run(extent, 2, 1) == ["r2"]
+        assert next(disk.read_runs(extent, [[2]], interference=True)) == ["r2"]
         assert disk.stats.by_extent == {"docs": (0, 1)}
 
     def test_mid_extent_empty_records_charge_as_before(self):
@@ -252,5 +277,5 @@ class TestTrailingEmptyRecord:
         assert disk.stats.by_extent == {"docs": (0, 2)}
         disk.read_record(extent, 1)
         assert disk.stats.by_extent == {"docs": (0, 3)}
-        disk.read_run(extent, 0, 2)
+        next(disk.read_runs(extent, [[0, 1]], interference=True))
         assert disk.stats.by_extent == {"docs": (1, 4)}
