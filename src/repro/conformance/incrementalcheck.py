@@ -65,6 +65,7 @@ from repro.workspace.mutate import (
     compact,
     freeze_delta,
 )
+from repro.workspace.segments import HeldSnapshot
 
 #: shard counts the warm-workspace sharded re-run exercises
 INCREMENTAL_SHARD_COUNTS = (1, 4)
@@ -133,11 +134,11 @@ def _random_operations(
 
 
 def _replay_operations(
-    directory: str, operations: list[dict[str, Any]], held: list[Any]
+    directory: str, operations: list[dict[str, Any]], held: HeldSnapshot
 ) -> None:
     """Apply a drawn operation sequence to the workspace on disk.
 
-    ``held`` is a resident reader's segment list: mutations reuse it and
+    ``held`` is a resident reader's held snapshot: mutations reuse it and
     a reuse-path load follows every step, freezes and compactions (which
     happen behind its back) included.
     """
@@ -255,7 +256,7 @@ def run_incremental_equivalence(
                 None if config.self_join else c2,
                 spec=EnvironmentSpec(page_bytes=config.page_bytes, codec=codec),
             )
-            held: list[Any] = []
+            held = HeldSnapshot()
             _replay_operations(tmp, operations, held)
             outcome.trials_run += 1
 

@@ -145,10 +145,11 @@ class EnvironmentFactory:
             return self.docs_extent(1)
         if side not in self._docs_extents:
             name = f"c{side}.docs"
-            extent = Extent(name, self._geometry)
-            for doc in self.collection(side):
-                extent.append(doc, doc.n_bytes)
-            self._docs_extents[side] = extent
+            self._docs_extents[side] = Extent.from_records(
+                name,
+                self._geometry,
+                ((doc, doc.n_bytes) for doc in self.collection(side)),
+            )
             self.build_log.append(f"layout:{name}")
         return self._docs_extents[side]
 
@@ -174,10 +175,11 @@ class EnvironmentFactory:
             return self.inverted_extent(1)
         if side not in self._inv_extents:
             name = f"c{side}.inv"
-            extent = Extent(name, self._geometry)
-            for entry in self.inverted(side).entries:
-                extent.append(entry, entry.n_bytes)
-            self._inv_extents[side] = extent
+            self._inv_extents[side] = Extent.from_records(
+                name,
+                self._geometry,
+                ((entry, entry.n_bytes) for entry in self.inverted(side).entries),
+            )
             self.build_log.append(f"layout:{name}")
         return self._inv_extents[side]
 

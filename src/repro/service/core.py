@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -56,7 +56,12 @@ from repro.sql.ast_nodes import SelectQuery
 from repro.sql.executor import iter_execute
 from repro.sql.mutations import execute_mutation
 from repro.sql.parser import parse, parse_statement
-from repro.workspace import load_manifest, manifest_fingerprint, workspace_catalog
+from repro.workspace import (
+    HeldSnapshot,
+    load_manifest,
+    manifest_fingerprint,
+    workspace_catalog,
+)
 
 #: exception-to-error-code mapping, most specific class first; the
 #: service-level test suite pins this table against the HTTP statuses
@@ -207,8 +212,9 @@ class LoadedWorkspace:
     system: SystemParams
     fingerprint: str
     self_join: bool
-    #: the snapshot's loaded segments, which the next mutation need not re-read
-    segments: tuple[Any, ...] = ()
+    #: the snapshot's loaded segments and merged sides, which the next
+    #: mutation need not re-read or re-merge
+    held: HeldSnapshot
 
     def describe(self) -> dict[str, Any]:
         """A JSON-ready summary for ``GET /health``."""
@@ -277,7 +283,9 @@ class JoinService:
         self._mutations = 0
         self._workspaces: dict[str, LoadedWorkspace] = {}
         for name, directory in workspaces.items():
-            self._workspaces[name] = self._load(name, directory, buffer_pages, [])
+            self._workspaces[name] = self._load(
+                name, directory, buffer_pages, HeldSnapshot()
+            )
 
     # --- startup --------------------------------------------------------------
 
@@ -286,7 +294,7 @@ class JoinService:
         name: str,
         directory: str | Path,
         buffer_pages: int,
-        held: list[Any],
+        held: HeldSnapshot,
     ) -> LoadedWorkspace:
         manifest = load_manifest(directory)
         catalog, factory = workspace_catalog(directory, held)
@@ -304,7 +312,7 @@ class JoinService:
             ),
             fingerprint=manifest_fingerprint(manifest),
             self_join=bool(manifest["self_join"]),
-            segments=tuple(held),
+            held=held,
         )
 
     # --- introspection --------------------------------------------------------
@@ -384,8 +392,9 @@ class JoinService:
         reloaded warm, and the service's handle is swapped in one
         assignment — queries admitted before the swap keep streaming
         from the previous in-memory snapshot, queries admitted after it
-        see the new version.  Both steps are handed the snapshot's own
-        segments, so only files it does not hold are read; the summary's
+        see the new version.  Both steps are handed a copy of the
+        snapshot's held segments and merged sides, so only files it does
+        not hold are read and the new version is merged once; the summary's
         ``segments_reused``/``segments_loaded`` count the new version's
         segments either way.  Returns the JSON-ready mutation summary.
         """
@@ -401,7 +410,7 @@ class JoinService:
                         "POST /mutate takes INSERT or DELETE statements; "
                         "send SELECT queries to POST /query"
                     )
-                held = list(handle.segments)
+                held = replace(handle.held)
                 try:
                     stats = execute_mutation(statement, handle.directory, held)
                 except WorkspaceError as exc:
@@ -409,7 +418,7 @@ class JoinService:
                     # document, a term outside the vocabulary bound...)
                     # are the caller's mistake, not a broken service.
                     raise ServiceRequestError(str(exc)) from exc
-                reused = sum(segment.reused for segment in held)
+                reused = sum(segment.reused for segment in held.segments)
                 applied = time.perf_counter()
                 self._workspaces[handle.name] = self._load(
                     handle.name, handle.directory, self._buffer_pages, held

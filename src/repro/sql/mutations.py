@@ -41,7 +41,7 @@ from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import Vocabulary
 from repro.workspace.manifest import load_manifest
 from repro.workspace.mutate import MutationBatch, MutationStats, apply_mutations
-from repro.workspace.segments import LoadedSegment
+from repro.workspace.segments import HeldSnapshot
 
 #: relation name (upper-cased) to workspace collection role
 ROLE_BY_TABLE = {"R1": "c1", "R2": "c2"}
@@ -149,7 +149,7 @@ def _delete_batch(statement: DeleteStatement, manifest: dict) -> MutationBatch:
 def execute_mutation(
     statement: Statement | str,
     directory: str | Path,
-    held: list[LoadedSegment] | None = None,
+    held: HeldSnapshot | None = None,
 ) -> MutationStats:
     """Apply one INSERT or DELETE statement to a workspace directory.
 

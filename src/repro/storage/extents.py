@@ -4,8 +4,11 @@ Section 3 assumes documents of a collection (and likewise the entries of
 an inverted file) are "stored in consecutive storage locations" and
 "tightly packed": record ``i+1`` begins at the byte where record ``i``
 ends, with no page alignment.  An :class:`Extent` models one such region:
-it assigns byte offsets to appended records and answers which page span a
+it assigns byte offsets to its records and answers which page span a
 record occupies, which is all the simulated disk needs to price a read.
+An extent is laid out whole by :meth:`Extent.from_records` or grown one
+record at a time by :meth:`Extent.append`; both place a record the way
+:func:`~repro.storage.pages.span_pages` does.
 
 The records themselves (documents, inverted-file entries) are kept as
 Python objects in the extent's payload list — the simulation never
@@ -15,15 +18,15 @@ serialises real bytes, only sizes, exactly like the paper's model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import PageOutOfRangeError, StorageError
 from repro.storage.pages import PageGeometry, span_pages
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecordSpan:
-    """Placement of one record inside an extent."""
+    """Placement of one record inside an extent (never mutated once placed)."""
 
     record_id: int
     start_byte: int
@@ -58,6 +61,37 @@ class Extent:
         self._next_byte = 0
 
     # --- building -------------------------------------------------------
+
+    @classmethod
+    def from_records(
+        cls,
+        name: str,
+        geometry: PageGeometry | None,
+        records: Iterable[tuple[Any, int]],
+    ) -> "Extent":
+        """An extent holding ``(payload, n_bytes)`` records in order.
+
+        The same placement as appending each record in turn, computed in
+        one loop: a record covers pages ``start // P`` through
+        ``(start + n_bytes - 1) // P``, and a zero-byte record the one
+        page holding its offset.
+        """
+        extent = cls(name, geometry)
+        page_bytes = extent.geometry.page_bytes
+        spans = extent._spans
+        payloads = extent._payloads
+        start = 0
+        for record_id, (payload, n_bytes) in enumerate(records):
+            if n_bytes < 0:
+                raise StorageError(f"record size must be non-negative, got {n_bytes}")
+            first = start // page_bytes
+            end = start + n_bytes
+            last = (end - 1) // page_bytes if n_bytes else first
+            spans.append(RecordSpan(record_id, start, n_bytes, first, last))
+            payloads.append(payload)
+            start = end
+        extent._next_byte = start
+        return extent
 
     def append(self, payload: Any, n_bytes: int) -> RecordSpan:
         """Append one record of ``n_bytes`` and return its placement."""

@@ -65,6 +65,7 @@ from repro.workspace.mutate import (
     freeze_delta,
 )
 from repro.workspace.segments import (
+    HeldSnapshot,
     LoadedSegment,
     MergedSide,
     load_segment,
@@ -73,6 +74,7 @@ from repro.workspace.segments import (
 )
 
 __all__ = [
+    "HeldSnapshot",
     "LEGACY_SEGMENT_ID",
     "LoadedSegment",
     "MANIFEST_NAME",

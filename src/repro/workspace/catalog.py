@@ -16,11 +16,11 @@ from pathlib import Path
 from repro.core.environment import EnvironmentFactory
 from repro.sql.catalog import Catalog, Relation
 from repro.workspace.loader import load_workspace
-from repro.workspace.segments import LoadedSegment
+from repro.workspace.segments import HeldSnapshot
 
 
 def workspace_catalog(
-    directory: str | Path, held: list[LoadedSegment] | None = None
+    directory: str | Path, held: HeldSnapshot | None = None
 ) -> tuple[Catalog, EnvironmentFactory]:
     """A catalog (``R1``/``R2`` over ``Id`` + textual ``Doc``) plus its factory.
 

@@ -49,6 +49,7 @@ from repro.workspace.manifest import (
     manifest_segments,
 )
 from repro.workspace.segments import (
+    HeldSnapshot,
     LoadedSegment,
     collection_stats,
     load_segment,
@@ -84,7 +85,7 @@ def _is_single_clean_base(records: list[dict[str, Any]]) -> bool:
 
 
 def load_workspace(
-    directory: str | Path, held: list[LoadedSegment] | None = None
+    directory: str | Path, held: HeldSnapshot | None = None
 ) -> EnvironmentFactory:
     """A factory pre-populated from a workspace directory.
 
@@ -99,9 +100,10 @@ def load_workspace(
     :class:`~repro.errors.BPlusTreeError` with byte-level context); in a
     segmented workspace the message leads with the failing segment id.
 
-    ``held`` (:func:`~repro.workspace.segments.load_segments`) spares
-    re-reading segments the caller already has in memory and is left
-    holding this load's; the manifest alone decides what is loaded.
+    ``held`` (:class:`~repro.workspace.segments.HeldSnapshot`) spares
+    re-reading segments the caller already has in memory and re-merging
+    a view it already holds, and is left holding this load's; the
+    manifest alone decides what is loaded.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
@@ -114,7 +116,7 @@ def load_workspace(
     if merged:
         views = {
             role: (side.collection, side.inverted, side.btree)
-            for role, side in merged_sides(manifest, segments).items()
+            for role, side in merged_sides(manifest, segments, held).items()
         }
     else:
         # The build-once fast path (every v1/v2 workspace, and any v3

@@ -51,6 +51,7 @@ from repro.workspace.manifest import (
     segment_fingerprint,
 )
 from repro.workspace.segments import (
+    HeldSnapshot,
     LoadedSegment,
     collection_stats,
     load_segment,
@@ -248,7 +249,7 @@ def apply_mutations(
     batch: MutationBatch,
     *,
     clamp_weights: bool = False,
-    held: list[LoadedSegment] | None = None,
+    held: HeldSnapshot | None = None,
     manifest: Mapping[str, Any] | None = None,
     vocabulary: Vocabulary | None = None,
 ) -> MutationStats:
@@ -263,10 +264,12 @@ def apply_mutations(
     A pre-v3 workspace is upgraded in place: its artifacts become the
     first base segment without being rewritten.
 
-    ``held`` (:func:`~repro.workspace.segments.load_segments`) spares
-    re-reading segments the caller has in memory and ends up holding the
-    committed version's; ``manifest``/``vocabulary`` are the directory's
-    own when the caller has just read them.  None changes the result.
+    ``held`` (:class:`~repro.workspace.segments.HeldSnapshot`) spares
+    re-reading segments the caller has in memory and re-merging the
+    version it last loaded, and ends up holding the committed version's
+    segments and merged sides; ``manifest``/``vocabulary`` are the
+    directory's own when the caller has just read them.  None changes
+    the result.
     """
     directory = Path(directory)
     if manifest is None:
@@ -277,7 +280,7 @@ def apply_mutations(
     geometry = spec.geometry()
     roles = manifest_roles(manifest)
     segments = load_segments(directory, manifest, held)
-    sides = merged_sides(manifest, segments)
+    sides = merged_sides(manifest, segments, held)
     _validate_batch(
         manifest,
         batch,
@@ -384,13 +387,13 @@ def apply_mutations(
 
     stats = {
         role: collection_stats(side.collection)
-        for role, side in merged_sides(manifest, new_segments).items()
+        for role, side in merged_sides(manifest, new_segments, held).items()
     }
     new_manifest = _publish(directory, manifest, stats, new_records)
     if old_delta is not None:
         _remove_segment_files(directory, old_delta.record)
     if held is not None:
-        held[:] = new_segments
+        held.segments = new_segments
     return MutationStats(
         operation="apply_mutations",
         changed=True,
@@ -474,7 +477,7 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
     for record in records:
         pages_read += _file_pages(record["files"], geometry, io_read)
 
-    sides = merged_sides(manifest, segments)
+    sides = merged_sides(manifest, segments, None)
     version = manifest_version(manifest) + 1
     seg_id = f"seg-{version:06d}"
     record = write_segment(

@@ -22,7 +22,10 @@ This module is the segment layer's mechanics:
   (:func:`repro.index.inverted.merge_inverted_segments`), so the merged
   artifacts are **value-identical to a cold rebuild** from the live
   document set — which is exactly why everything downstream (operators,
-  kernels, IOStats, SQL rows) cannot tell the difference.
+  kernels, IOStats, SQL rows) cannot tell the difference;
+* :class:`HeldSnapshot` is a resident caller's copy of the version it
+  last loaded — its segments and their merged sides — so a warm
+  mutation re-reads no file it holds and merges each version once.
 """
 
 from __future__ import annotations
@@ -189,24 +192,27 @@ def load_segment(
 def load_segments(
     directory: str | Path,
     manifest: Mapping[str, Any],
-    held: list[LoadedSegment] | None = None,
+    held: HeldSnapshot | None = None,
 ) -> list[LoadedSegment]:
     """Load every segment the manifest lists, in order.
 
-    ``held`` is the caller's own list of segments from an earlier load
-    of this directory — a cache of file *contents*, never of what the
-    workspace *is*: the manifest decides which segments exist, ``held``
-    only spares re-reading those whose files it has (:func:`load_segment`).
-    It is replaced in place with the result, ready for the next load.
+    ``held`` is the caller's copy of an earlier load of this directory —
+    a cache of file *contents*, never of what the workspace *is*: the
+    manifest decides which segments exist, ``held.segments`` only spares
+    re-reading those whose files it has (:func:`load_segment`).  Its
+    segments are replaced with the result, ready for the next load.
     """
     segments = [
         load_segment(
-            directory, record, btree_order=manifest["btree_order"], held=held or ()
+            directory,
+            record,
+            btree_order=manifest["btree_order"],
+            held=() if held is None else held.segments,
         )
         for record in manifest_segments(manifest)
     ]
     if held is not None:
-        held[:] = segments
+        held.segments = segments
     return segments
 
 
@@ -359,18 +365,79 @@ def merged_view(
     )
 
 
+def sides_key(manifest: Mapping[str, Any], segments: list[LoadedSegment]) -> tuple:
+    """Everything :func:`merged_sides` reads, as one comparable value.
+
+    Per segment: its id (tombstones and the global id map name it), its
+    checksummed ``files`` and ``codec`` (:func:`load_segment`'s reuse
+    rule: the same files are the same documents) and its tombstones; per
+    workspace: the codec, the B+-tree order and the collection names.
+    A segment's ``kind`` and ``fingerprint`` are left out: a freeze moves
+    both and changes no live document.
+    """
+    return (
+        manifest_codec(manifest),
+        manifest["btree_order"],
+        {
+            role: manifest["collections"][role]["name"]
+            for role in manifest_roles(manifest)
+        },
+        [
+            (
+                segment.record["id"],
+                segment.record["files"],
+                segment.record["codec"],
+                segment.record.get("tombstones", {}),
+            )
+            for segment in segments
+        ],
+    )
+
+
+@dataclass
+class HeldSnapshot:
+    """A resident caller's copy of the workspace version it last loaded.
+
+    ``segments`` spare re-reading files (:func:`load_segments`);
+    ``sides`` are the merged view :func:`merged_sides` last built, valid
+    for the segments ``key`` (:func:`sides_key`) names.  Both are caches
+    of contents the caller owns for as long as its snapshot lives — the
+    manifest alone still decides what the workspace is.
+    """
+
+    segments: list[LoadedSegment] = field(default_factory=list)
+    sides: dict[str, MergedSide] = field(default_factory=dict)
+    key: tuple | None = None
+
+
 def merged_sides(
-    manifest: Mapping[str, Any], segments: list[LoadedSegment]
+    manifest: Mapping[str, Any],
+    segments: list[LoadedSegment],
+    held: HeldSnapshot | None,
 ) -> dict[str, MergedSide]:
-    """The merged live view of every role the workspace stores."""
+    """The merged live view of every role the workspace stores.
+
+    With ``held``, a view already merged from the same :func:`sides_key`
+    is returned as it is; otherwise the merge runs and ``held`` keeps it.
+    A cold caller passes ``None`` and always merges.
+    """
+    key = None
+    if held is not None:
+        key = sides_key(manifest, segments)
+        if held.key == key:
+            return held.sides
     spec = manifest_spec(manifest)
-    return {
+    sides = {
         role: merged_view(role, manifest["collections"][role]["name"], segments, spec)
         for role in manifest_roles(manifest)
     }
+    if held is not None:
+        held.sides, held.key = sides, key
+    return sides
 
 
 __all__ = [
+    "HeldSnapshot",
     "LoadedSegment",
     "MergedSide",
     "collection_stats",
@@ -381,6 +448,7 @@ __all__ = [
     "merged_sides",
     "merged_view",
     "segment_directory",
+    "sides_key",
     "term_tree",
     "tombstones_by_target",
     "write_segment",

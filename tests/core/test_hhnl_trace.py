@@ -7,7 +7,8 @@ the inner collection per chunk.  The numbers below were recorded before
 the chunk-read page arithmetic moved out of ``core/hhnl.py`` and must
 never move: matches (similarity types included, on every backend),
 per-extent and per-phase I/O, every ``extras`` field, the exact read at
-which a page budget aborts, and what a stream closed mid-way has read.
+which a page budget aborts, what a stream closed mid-way has read, and
+that a cancel between chunks reads nothing more.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 from repro.core.hhnl import iter_hhnl, iter_hhnl_backward, run_hhnl, run_hhnl_backward
 from repro.core.join import JoinEnvironment, TextJoinSpec
 from repro.cost.params import SystemParams
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ExecutionCancelledError
 from repro.exec import ExecutionBudget, ExecutionContext
 from repro.kernels import numpy_available
 from repro.storage.pages import PageGeometry
@@ -319,3 +320,33 @@ def test_close_after_the_first_block_reads_nothing_more(collections, case):
     stream.close()
     assert env.disk.stats == before
     assert before.by_extent == first_chunk
+
+
+#: order -> (checkpoints passed before the cancel, blocks out by then,
+#: by_extent read by then)
+CANCEL_CASES = {
+    "forward": (1, 40, {"c2.docs": (7, 0), "c1.docs": (29, 0)}),
+    "backward": (2, 0, {"c1.docs": (9, 0), "c2.docs": (34, 0)}),
+}
+
+
+@pytest.mark.parametrize("order", sorted(CANCEL_CASES))
+def test_a_cancel_between_chunks_reads_nothing_more(collections, order):
+    passed, emitted, read = CANCEL_CASES[order]
+    env = environment(collections)
+    seen = []
+
+    def cancel_check():
+        seen.append(env.disk.stats.snapshot())
+        return len(seen) > passed
+
+    context = ExecutionContext(cancel_check=cancel_check)
+    stream = ITERS[order](env, TextJoinSpec(lam=3), TIGHT, context=context)
+    pulled = 0
+    with pytest.raises(ExecutionCancelledError):
+        for _ in stream:
+            pulled += 1
+    before = seen[-1]
+    assert pulled == emitted
+    assert env.disk.stats == before
+    assert before.by_extent == read

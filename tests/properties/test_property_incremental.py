@@ -9,9 +9,9 @@ the live documents' d-cells in merged order.  After the sequence:
   an in-memory environment built cold from the model;
 * :func:`~repro.workspace.loader.verify_workspace` must report a clean
   workspace after every freeze and compaction (and at the end);
-* a *held snapshot* — mutations and loads handed the segments the
-  previous step ended on, the way a resident service runs them — must
-  equal a cold ``load_workspace`` after every single step.
+* a *held snapshot* — mutations and loads handed the segments and merged
+  sides the previous step ended on, the way a resident service runs
+  them — must equal a cold ``load_workspace`` after every single step.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.storage.pages import PageGeometry
 from repro.text.collection import DocumentCollection
 from repro.text.document import Document
 from repro.workspace import (
+    HeldSnapshot,
     MutationBatch,
     apply_mutations,
     build_workspace,
@@ -200,7 +201,7 @@ def test_held_snapshot_equals_cold_load_after_every_step(
         None,
         spec=EnvironmentSpec(page_bytes=PAGE_BYTES, codec=codec),
     )
-    held: list = []
+    held = HeldSnapshot()
     load_workspace(directory, held)
 
     for operation in operations:

@@ -308,3 +308,95 @@ class TestWarmMutate:
                 streamed.extend(tuple(row) for row in event["rows"])
         assert streamed == expected
         assert _rows(service) == _cold_rows(directory) != expected
+
+
+# --- warm mutations: what a mutate builds ---------------------------------------
+
+
+def _merges(monkeypatch):
+    """Every role :func:`~repro.workspace.segments.merged_view` folds, in order."""
+    from repro.workspace import segments
+
+    calls = []
+    real = segments.merged_view
+
+    def counting(role, *args, **kwargs):
+        calls.append(role)
+        return real(role, *args, **kwargs)
+
+    monkeypatch.setattr(segments, "merged_view", counting)
+    return calls
+
+
+#: case -> (service statements first, service statement A, cold statement B
+#: after the restore, service statement C); B writes the segment id A wrote,
+#: differing from A's only in the key field the case names
+STALE_CASES = {
+    # A: tombstone (base, 2); B: tombstone (base, 5); no files either way
+    "tombstones": (
+        (),
+        "DELETE FROM R2 WHERE Id = 2",
+        "DELETE FROM R2 WHERE Id = 5",
+        "DELETE FROM R2 WHERE Id = 2",
+    ),
+    # A keeps one of three delta documents, B two; no tombstones either way
+    "files": (
+        ("INSERT INTO R2 (Doc) VALUES ('{0}'), ('{1}'), ('{2}')",),
+        "DELETE FROM R2 WHERE Id > 24",
+        "DELETE FROM R2 WHERE Id = 24",
+        "DELETE FROM R2 WHERE Id = 25",
+    ),
+}
+
+
+class TestWarmMutateBuilds:
+    def test_a_warm_mutation_merges_each_role_once(self, resident, monkeypatch):
+        from repro.workspace import freeze_delta
+
+        service, directory, words = resident
+        merges = _merges(monkeypatch)
+        # the start-up base was never merged: the first write folds twice
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]}')"))
+        steps = [
+            f"INSERT INTO R1 (Doc) VALUES ('{words[2]} {words[4]}')",
+            "DELETE FROM R2 WHERE Id = 3",
+            "freeze",
+            f"INSERT INTO R2 (Doc) VALUES ('{words[6]}')",
+            "DELETE FROM R1 WHERE Id = 0",
+        ]
+        for step in steps:
+            if step == "freeze":
+                freeze_delta(directory)  # behind the service's back
+                continue
+            merges.clear()
+            service.mutate(_request(step))
+            assert sorted(merges) == ["c1", "c2"], step
+            assert _rows(service) == _cold_rows(directory)
+
+    @pytest.mark.parametrize("case", sorted(STALE_CASES))
+    def test_a_held_view_is_never_stale(self, resident, tmp_path, case):
+        """A restore from backup plus a cold DELETE rewrite, behind the
+        service's back, a segment id the service holds a view of."""
+        import shutil
+
+        from repro.sql import execute_mutation
+        from repro.workspace import verify_workspace
+
+        setup, held_sql, cold_sql, next_sql = STALE_CASES[case]
+        service, directory, words = resident
+        for sql in setup:
+            service.mutate(_request(sql.format(*words)))
+        backup = tmp_path / "backup"
+        shutil.copytree(directory, backup)
+        service.mutate(_request(held_sql))
+        shutil.rmtree(directory)
+        shutil.copytree(backup, directory)
+        execute_mutation(cold_sql, directory)
+        service.mutate(_request(next_sql))
+
+        oracle = tmp_path / "oracle"
+        shutil.copytree(backup, oracle)
+        for sql in (cold_sql, next_sql):
+            execute_mutation(sql, oracle)
+        assert _rows(service) == _cold_rows(directory) == _cold_rows(oracle)
+        assert verify_workspace(directory) == []

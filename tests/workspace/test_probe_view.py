@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.environment import EnvironmentFactory
 from repro.workspace import (
+    HeldSnapshot,
     MutationBatch,
     apply_mutations,
     freeze_delta,
@@ -80,7 +81,7 @@ def test_a_loaded_workspace(built):
 @pytest.mark.parametrize("freeze", [False, True])
 def test_a_merged_view_after_mutations(built, freeze):
     directory, _ = built
-    held = []
+    held = HeldSnapshot()
     load_workspace(directory, held)
     batches = [
         # a term new to both sides, and C2 documents that probe it

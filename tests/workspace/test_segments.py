@@ -310,3 +310,57 @@ class TestHeldSegments:
             tmp_path, record, btree_order=spec.btree_order, held=[stale]
         )
         assert not again.reused
+
+
+class TestHeldSides:
+    """merged_sides hands back the held view exactly when its key matches."""
+
+    def _segmented(self, tmp_path, pair):
+        from repro.workspace import (
+            MutationBatch,
+            apply_mutations,
+            build_workspace,
+            load_manifest,
+        )
+        from repro.workspace.segments import load_segments
+
+        c1, c2 = pair
+        build_workspace(tmp_path, c1, c2)
+        apply_mutations(
+            tmp_path,
+            MutationBatch.from_term_lists(
+                inserts={"c1": [[1, 9]]}, deletes={"c2": [0]}
+            ),
+        )
+        manifest = load_manifest(tmp_path)
+        return manifest, load_segments(tmp_path, manifest)
+
+    def test_a_matching_key_reuses_the_held_sides(self, tmp_path, pair):
+        from repro.workspace import HeldSnapshot, freeze_delta, load_manifest
+        from repro.workspace.segments import load_segments, merged_sides
+
+        manifest, segments = self._segmented(tmp_path, pair)
+        held = HeldSnapshot()
+        sides = merged_sides(manifest, segments, held)
+        assert held.sides is sides
+        assert merged_sides(manifest, load_segments(tmp_path, manifest), held) is sides
+        freeze_delta(tmp_path)  # kind and fingerprint move, no live document does
+        frozen = load_manifest(tmp_path)
+        assert merged_sides(frozen, load_segments(tmp_path, frozen), held) is sides
+        assert merged_sides(frozen, segments, None) is not sides  # cold: always a fold
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("id", "seg-999999"), ("files", {}), ("codec", "vbyte"), ("tombstones", {})],
+    )
+    def test_any_other_segment_change_moves_the_key(self, tmp_path, pair, field, value):
+        from dataclasses import replace
+
+        from repro.workspace.segments import sides_key
+
+        manifest, segments = self._segmented(tmp_path, pair)
+        delta = segments[-1]
+        assert delta.record[field] != value
+        record = dict(delta.record, **{field: value})
+        altered = [*segments[:-1], replace(delta, record=record)]
+        assert sides_key(manifest, altered) != sides_key(manifest, segments)

@@ -24,7 +24,7 @@ from repro.cost.params import SystemParams
 from repro.kernels import vector
 from repro.parallel.runner import run_sharded
 from repro.text.collection import DocumentCollection
-from repro.workspace import MutationBatch, apply_mutations, load_workspace
+from repro.workspace import HeldSnapshot, MutationBatch, apply_mutations, load_workspace
 
 SPEC = TextJoinSpec(lam=3)
 #: a few buffer pages: VVM merges in several passes, HVNL evicts
@@ -70,7 +70,7 @@ def test_four_shards_on_two_jobs_equal_sequential(collections, algorithm):
 
 def test_a_mutation_ranks_from_fresh_arrays(built):
     directory, _ = built
-    held = []
+    held = HeldSnapshot()
     old = load_workspace(directory, held)
     old.kernel = "numpy"
     before = observed(run_vvm(old.create(), SPEC, SYSTEM))
