@@ -27,13 +27,23 @@ Endpoints:
 Each connection gets its own thread
 (:class:`http.server.ThreadingHTTPServer`); *execution* concurrency is
 bounded separately by the service's admission semaphore, so saturation
-is a fast 429, never a hang.  A client that disconnects mid-stream
-causes the next chunk write to fail, which closes the event generator
-and releases its worker slot.
+is a fast 429, never a hang.  A client that disconnects before or
+mid-stream causes a write to fail, which closes the event generator and
+releases its worker slot; nothing reaches ``handle_error``.
+
+How a response leaves the socket: Nagle's algorithm stays on, so a
+small write that follows an unacknowledged one waits for the client's
+delayed ACK (up to ~40 ms).  The head therefore never leaves alone —
+``_send_head`` sends it in one write with the first payload bytes.  A
+JSON document is exactly one write; a stream's first write carries the
+head plus the chunk frames of its first two events.  Every later chunk
+is still written as size line, data and CRLF, so the rest of a longer
+stream still waits once.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
@@ -107,15 +117,40 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Silence the default per-request stderr chatter."""
 
+    def _send_head(
+        self, status: int, headers: list[tuple[str, str]], first: bytes
+    ) -> None:
+        """Send the status line, ``headers`` and ``first`` in one write.
+
+        ``end_headers()`` runs against a swapped in-memory ``wfile``, so
+        the head is assembled through the public API and leaves in the
+        same segment as the first payload bytes.
+        """
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            for name, value in headers:
+                self.send_header(name, value)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        wfile.write(head + first)
+
     def _send_json(self, status: int, payload: Mapping[str, Any]) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        headers = [
+            ("Content-Type", "application/json"),
+            ("Content-Length", str(len(body))),
+        ]
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            headers.append(("Connection", "close"))
+        try:
+            self._send_head(status, headers, body)
+        except OSError:
+            # The client hung up before the response left; its worker
+            # slot comes back exactly as for a delivered response.
+            self.close_connection = True
 
     def _send_error_payload(self, exc: BaseException) -> None:
         code = error_code_for(exc)
@@ -131,7 +166,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
     def _write_event_chunk(self, event: Mapping[str, Any]) -> None:
-        self._write_chunk((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
+        self._write_chunk(_event_line(event))
 
     def _read_body(self) -> Any:
         length = self.headers.get("Content-Length")
@@ -260,22 +295,37 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             terminal = second if second is not None else _missing_terminal()
             document = assemble_response([header, terminal])
             status = STATUS_BY_CODE.get(str(terminal.get("code")), 500)
+            # Release the slot before the document leaves, so a client
+            # that has read the whole response finds its slot back.
+            events.close()
             self._send_json(status, document)
             return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
         try:
-            self._write_event_chunk(header)
-            self._write_event_chunk(second)
+            self._send_head(
+                200,
+                [
+                    ("Content-Type", "application/x-ndjson"),
+                    ("Transfer-Encoding", "chunked"),
+                ],
+                _chunk_frame(_event_line(header)) + _chunk_frame(_event_line(second)),
+            )
             for event in events:
                 self._write_event_chunk(event)
             self._write_chunk(b"")
         except OSError:
-            # The client went away mid-stream; closing the generator (in
-            # the caller's finally) releases the worker slot.
+            # The client went away before or mid-stream; closing the
+            # generator (in the caller's finally) releases the worker slot.
             self.close_connection = True
+
+
+def _event_line(event: Mapping[str, Any]) -> bytes:
+    """One event as its ndjson line."""
+    return (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _chunk_frame(data: bytes) -> bytes:
+    """``data`` framed as one chunk: size line, data, CRLF."""
+    return f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
 
 
 def _missing_terminal() -> dict[str, Any]:
