@@ -36,11 +36,12 @@ re-tokenising or re-inverting documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import JoinError
 from repro.index.bptree import BPlusTree
-from repro.index.inverted import InvertedFile
+from repro.index.inverted import InvertedFile, bulk_load_terms
 from repro.index.stats import CollectionStats
 from repro.storage.disk import SimulatedDisk  # repro: ignore[RA-CORE-IO] -- environment layout boundary
 from repro.storage.extents import Extent  # repro: ignore[RA-CORE-IO] -- environment layout boundary
@@ -51,6 +52,9 @@ from repro.text.vocabulary import Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle broken at runtime
     from repro.core.join import JoinEnvironment
+
+#: a record's stored size, as an extent lays it out
+_N_BYTES = attrgetter("n_bytes")
 
 #: build-log event kinds that represent expensive dataset derivation
 #: (as opposed to cheap extent layout, statistics or artifact loads)
@@ -93,6 +97,10 @@ class EnvironmentFactory:
     (1 or 2) and build on first use; :meth:`create` assembles a full
     :class:`~repro.core.join.JoinEnvironment` from whatever the cache
     holds, deriving the rest on demand.
+
+    ``previous`` is the factory of the snapshot this one replaces (a
+    resident service's, across a mutation): each extent laid out here
+    shares the spans of the leading records whose place did not move.
     """
 
     def __init__(
@@ -102,6 +110,7 @@ class EnvironmentFactory:
         spec: EnvironmentSpec | None = None,
         *,
         kernel: str = "auto",
+        previous: EnvironmentFactory | None = None,
     ) -> None:
         self.spec = spec or EnvironmentSpec()
         #: kernel backend name resolved per assembled environment; mutable
@@ -121,6 +130,19 @@ class EnvironmentFactory:
         self._inv_extents: dict[int, Extent] = {}
         self._btrees: dict[int, BPlusTree] = {}
         self._stats: dict[int, CollectionStats] = {}
+        #: the extents of the snapshot this factory replaces, by name, each
+        #: taken once as the ``like`` of its successor (never a chain)
+        self._replaced: dict[str, Extent] = (
+            {}
+            if previous is None
+            else {
+                extent.name: extent
+                for extent in (
+                    *previous._docs_extents.values(),
+                    *previous._inv_extents.values(),
+                )
+            }
+        )
 
     # --- identity -----------------------------------------------------------
 
@@ -145,10 +167,13 @@ class EnvironmentFactory:
             return self.docs_extent(1)
         if side not in self._docs_extents:
             name = f"c{side}.docs"
+            documents = self.collection(side).documents
             self._docs_extents[side] = Extent.from_records(
                 name,
                 self._geometry,
-                ((doc, doc.n_bytes) for doc in self.collection(side)),
+                documents,
+                map(_N_BYTES, documents),
+                like=self._replaced.pop(name, None),
             )
             self.build_log.append(f"layout:{name}")
         return self._docs_extents[side]
@@ -175,10 +200,13 @@ class EnvironmentFactory:
             return self.inverted_extent(1)
         if side not in self._inv_extents:
             name = f"c{side}.inv"
+            entries = self.inverted(side).entries
             self._inv_extents[side] = Extent.from_records(
                 name,
                 self._geometry,
-                ((entry, entry.n_bytes) for entry in self.inverted(side).entries),
+                entries,
+                map(_N_BYTES, entries),
+                like=self._replaced.pop(name, None),
             )
             self.build_log.append(f"layout:{name}")
         return self._inv_extents[side]
@@ -188,12 +216,8 @@ class EnvironmentFactory:
         if self.self_join and side == 2:
             return self.btree(1)
         if side not in self._btrees:
-            leaf_items = [
-                (entry.term, (record_id, entry.document_frequency))
-                for record_id, entry in enumerate(self.inverted(side).entries)
-            ]
-            self._btrees[side] = BPlusTree.bulk_load(
-                leaf_items, order=self.spec.btree_order
+            self._btrees[side] = bulk_load_terms(
+                self.inverted(side).document_frequencies(), self.spec.btree_order
             )
             self.build_log.append(f"bulk-load:c{side}")
         return self._btrees[side]
@@ -218,11 +242,9 @@ class EnvironmentFactory:
             if codec.compressed and self.spec.build_inverted:
                 from repro.constants import I_CELL_BYTES
 
-                inverted = self.inverted(side)
-                compressed_total = inverted.total_bytes
-                uncompressed_total = I_CELL_BYTES * sum(
-                    entry.document_frequency for entry in inverted.entries
-                )
+                compressed_total = self.inverted(side).total_bytes
+                # the inverted file is the transpose: one i-cell per d-cell
+                uncompressed_total = I_CELL_BYTES * self.collection(side).total_cells
                 if compressed_total and uncompressed_total > compressed_total:
                     stats = stats.with_compressed_inverted(
                         uncompressed_total / compressed_total

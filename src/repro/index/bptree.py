@@ -16,6 +16,8 @@ stand on its own.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import lt
 from typing import Any, Iterator
 
 from repro.constants import BTREE_CELL_BYTES
@@ -293,25 +295,37 @@ class BPlusTree:
         standard bottom-up load used when a collection's inverted file is
         built in one pass.
         """
-        tree = cls(order=order)
-        if not items:
+        return cls.from_sorted(
+            [key for key, _ in items], [value for _, value in items], order=order
+        )
+
+    @classmethod
+    def from_sorted(
+        cls, keys: list[int], values: list[Any], *, order: int = 64
+    ) -> "BPlusTree":
+        """:meth:`bulk_load` from flat key and value lists (equal lengths,
+        keys strictly increasing): the leaves are slices of the two lists."""
+        tree = cls(order=order)  # validates the order before any grouping
+        if not keys:
             return tree
-        for i in range(1, len(items)):
-            if items[i - 1][0] >= items[i][0]:
-                raise BPlusTreeError(
-                    "bulk_load requires strictly increasing keys; "
-                    f"saw {items[i - 1][0]} before {items[i][0]}"
-                )
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            previous, key = next(
+                pair for pair in zip(keys, islice(keys, 1, None)) if pair[0] >= pair[1]
+            )
+            raise BPlusTreeError(
+                "bulk_load requires strictly increasing keys; "
+                f"saw {previous} before {key}"
+            )
         leaves: list[_Leaf] = []
-        for size in _group_sizes(len(items), max_size=order, min_size=order // 2):
-            start = sum(len(leaf.keys) for leaf in leaves)
-            chunk = items[start : start + size]
+        start = 0
+        for size in _group_sizes(len(keys), max_size=order, min_size=order // 2):
             leaf = _Leaf()
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
+            leaf.keys = keys[start : start + size]
+            leaf.values = values[start : start + size]
             if leaves:
                 leaves[-1].next = leaf
             leaves.append(leaf)
+            start += size
         return cls._from_leaves(leaves, order=order)
 
     @classmethod

@@ -86,12 +86,14 @@ class CompressedInvertedEntry:
     compressed one.
     """
 
-    __slots__ = ("term", "data", "document_frequency", "_decoded", "_packed")
+    __slots__ = ("term", "data", "document_frequency", "n_bytes", "_decoded", "_packed")
 
     def __init__(self, term: int, data: bytes, document_frequency: int) -> None:
         self.term = term
         self.data = data
         self.document_frequency = document_frequency
+        #: stored (compressed) size
+        self.n_bytes = len(data)
         self._decoded: tuple[tuple[int, int], ...] | None = None
         #: kernel-backend pack cache: ``(backend_tag, data)`` or None
         self._packed: tuple[str, object] | None = None
@@ -102,6 +104,7 @@ class CompressedInvertedEntry:
 
     def __setstate__(self, state: tuple[int, bytes, int]) -> None:
         self.term, self.data, self.document_frequency = state
+        self.n_bytes = len(self.data)
         self._decoded = None
         self._packed = None
 
@@ -116,11 +119,6 @@ class CompressedInvertedEntry:
         if self._decoded is None:
             self._decoded = decompress_postings(self.data)
         return self._decoded
-
-    @property
-    def n_bytes(self) -> int:
-        """Stored (compressed) size."""
-        return len(self.data)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.postings)
@@ -196,6 +194,10 @@ class CompressedInvertedFile:
     @property
     def total_bytes(self) -> int:
         return sum(entry.n_bytes for entry in self.entries)
+
+    def document_frequencies(self) -> dict[int, int]:
+        """``{term: document frequency}`` for every entry, in term order."""
+        return {entry.term: entry.document_frequency for entry in self.entries}
 
     def compression_ratio(self, inverted: InvertedFile) -> float:
         """Uncompressed bytes / compressed bytes (> 1 is a win)."""

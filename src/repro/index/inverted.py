@@ -10,17 +10,21 @@ same total size as its collection.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from bisect import bisect_left
+from itertools import islice
+from operator import lt
+from typing import Iterator, Mapping, Sequence
 
 from repro.constants import I_CELL_BYTES
 from repro.errors import InvertedFileError
+from repro.index.bptree import BPlusTree
 from repro.text.collection import DocumentCollection
 
 
 class InvertedEntry:
     """One term's posting list."""
 
-    __slots__ = ("term", "postings", "_packed")
+    __slots__ = ("term", "postings", "n_bytes", "_packed")
 
     def __init__(self, term: int, postings: tuple[tuple[int, int], ...]) -> None:
         if term < 0:
@@ -40,6 +44,9 @@ class InvertedEntry:
             previous = doc_id
         self.term = term
         self.postings = postings
+        #: stored size: 5 bytes per i-cell (a plain attribute, so laying an
+        #: extent out reads it without a call per record)
+        self.n_bytes = len(postings) * I_CELL_BYTES
         #: kernel-backend pack cache: ``(backend_tag, data)`` or None
         self._packed: tuple[str, object] | None = None
 
@@ -49,17 +56,13 @@ class InvertedEntry:
 
     def __setstate__(self, state: tuple[int, tuple[tuple[int, int], ...]]) -> None:
         self.term, self.postings = state
+        self.n_bytes = len(self.postings) * I_CELL_BYTES
         self._packed = None
 
     @property
     def document_frequency(self) -> int:
         """Number of documents containing the term."""
         return len(self.postings)
-
-    @property
-    def n_bytes(self) -> int:
-        """Stored size: 5 bytes per i-cell."""
-        return len(self.postings) * I_CELL_BYTES
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.postings)
@@ -80,17 +83,18 @@ class InvertedFile:
     """All entries of one collection, in increasing term-number order."""
 
     def __init__(self, collection_name: str, entries: list[InvertedEntry]) -> None:
-        previous = -1
-        for entry in entries:
-            if entry.term <= previous:
-                raise InvertedFileError(
-                    f"entries must be strictly increasing by term number; "
-                    f"term {entry.term} follows {previous}"
-                )
-            previous = entry.term
+        terms = [entry.term for entry in entries]
+        if not all(map(lt, terms, islice(terms, 1, None))):
+            previous, term = next(
+                pair for pair in zip(terms, islice(terms, 1, None)) if pair[0] >= pair[1]
+            )
+            raise InvertedFileError(
+                f"entries must be strictly increasing by term number; "
+                f"term {term} follows {previous}"
+            )
         self.collection_name = collection_name
         self.entries: list[InvertedEntry] = entries
-        self._by_term: dict[int, int] = {e.term: i for i, e in enumerate(entries)}
+        self._by_term: dict[int, int] = dict(zip(terms, range(len(terms))))
 
     @classmethod
     def build(cls, collection: DocumentCollection) -> "InvertedFile":
@@ -183,53 +187,76 @@ class InvertedFile:
         return f"InvertedFile({self.collection_name!r}, terms={self.n_terms})"
 
 
-def merge_inverted_segments(
-    collection_name: str,
-    parts: "list[tuple[InvertedFile, Mapping[int, int]]]",
-    kept: int = 0,
-) -> "InvertedFile":
-    """Merge per-segment inverted files into one logical inverted file.
+def bulk_load_terms(frequencies: Mapping[int, int], order: int) -> BPlusTree:
+    """The term tree ``term -> (record id, document frequency)`` of an
+    inverted file, bulk-loaded once from its ``{term: df}`` columns
+    (:meth:`InvertedFile.document_frequencies`: in term order, so a term's
+    record id is its position)."""
+    return BPlusTree.from_sorted(
+        list(frequencies), list(enumerate(frequencies.values())), order=order
+    )
 
-    ``parts`` pairs each segment's inverted file (in segment order) with
-    its live-document map — local doc id to merged global id, omitting
-    tombstoned documents.  Because global ids are assigned in (segment,
-    local) order and each map is monotone, per-term concatenation of the
-    remapped postings lands sorted — the result is value-identical to
-    :meth:`InvertedFile.build` over the merged live collection, which is
-    what makes segmented workspaces byte-identical to a cold rebuild.
 
-    Terms whose every posting is tombstoned vanish entirely, exactly as
-    a fresh inversion would never have created them.
+def renumber_entries(
+    entries: Sequence[InvertedEntry], doc_map: Mapping[int, int], kept: int
+) -> list[InvertedEntry]:
+    """One segment's entries with its tombstones applied.
 
-    The first part's documents numbered below ``kept`` map to themselves
-    (its dense run up to the first tombstone).  An entry of that part
-    whose postings all lie in the run, and whose term no later part
-    carries, *is* the merged entry — it is passed through as the same
-    object, in whatever encoding it is held, instead of being remapped
-    posting by posting and validated again.
+    ``doc_map`` maps each live local document to its folded number and
+    omits tombstoned ones.  Documents numbered below ``kept`` map to
+    themselves (the dense run up to the first tombstone), so an entry
+    whose postings all lie in that run *is* its folded entry — it is
+    passed through as the same object, in whatever encoding it is held,
+    instead of being remapped posting by posting and validated again.
+    Terms whose every posting is tombstoned vanish entirely, exactly as a
+    fresh inversion would never have created them.
     """
-    later_terms: set[int] = set()
-    for inverted, _ in parts[1:]:
-        later_terms.update(entry.term for entry in inverted.entries)
-    shared: list[InvertedEntry] = []
-    merged: dict[int, list[tuple[int, int]]] = {}
-    for inverted, doc_map in parts:
-        for entry in inverted.entries:
-            postings = entry.postings
-            if postings and postings[-1][0] < kept and entry.term not in later_terms:
-                shared.append(entry)
-                continue
-            cells = merged.setdefault(entry.term, [])
-            for doc_id, weight in postings:
-                global_id = doc_map.get(doc_id)
-                if global_id is not None:
-                    cells.append((global_id, weight))
-        kept = 0  # only the first part's documents keep their numbers
-    entries = shared + [
-        InvertedEntry(term, tuple(cells)) for term, cells in merged.items() if cells
-    ]
-    entries.sort(key=lambda entry: entry.term)
-    return InvertedFile(collection_name, entries)
+    folded = []
+    for entry in entries:
+        postings = entry.postings
+        if postings and postings[-1][0] < kept:
+            folded.append(entry)
+            continue
+        cells = tuple(
+            (doc_map[doc_id], weight) for doc_id, weight in postings if doc_id in doc_map
+        )
+        if cells:
+            folded.append(InvertedEntry(entry.term, cells))
+    return folded
+
+
+def merge_inverted_segments(
+    entries: Sequence[InvertedEntry],
+    frequencies: Mapping[int, int],
+    appended: Mapping[int, list[tuple[int, int]]],
+) -> tuple[list[InvertedEntry], dict[int, int]]:
+    """Merge later documents into a folded inverted file by concatenation.
+
+    ``entries`` (in term order) and ``frequencies`` (``{term: df}`` in the
+    same order) are the fold so far; ``appended`` maps a term to the
+    ``(doc#, w)`` i-cells of documents numbered after every document the
+    fold holds.  So each touched entry's postings are its old run plus the
+    new cells, already sorted, and a new term is inserted at its place —
+    value-identical to :meth:`InvertedFile.build` over the concatenated
+    collection, which is what makes segmented workspaces byte-identical to
+    a cold rebuild.  Entries no new cell touches are the same objects.
+    Returns the merged entries and their ``{term: df}`` columns.
+    """
+    entries = list(entries)
+    terms = list(frequencies)
+    counts = list(frequencies.values())
+    index = 0
+    for term in sorted(appended):
+        cells = tuple(appended[term])
+        index = bisect_left(terms, term, index)
+        if index < len(terms) and terms[index] == term:
+            entries[index] = InvertedEntry(term, entries[index].postings + cells)
+            counts[index] += len(cells)
+        else:
+            entries.insert(index, InvertedEntry(term, cells))
+            terms.insert(index, term)
+            counts.insert(index, len(cells))
+    return entries, dict(zip(terms, counts))
 
 
 def merge_join_entries(

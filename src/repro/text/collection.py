@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
+from repro.constants import D_CELL_BYTES
 from repro.errors import DocumentFormatError
 from repro.text.document import Document
 from repro.text.tokenizer import Tokenizer
@@ -26,7 +27,17 @@ class DocumentCollection:
     its position in storage order.
     """
 
-    def __init__(self, name: str, documents: Sequence[Document]) -> None:
+    def __init__(
+        self,
+        name: str,
+        documents: Sequence[Document],
+        *,
+        document_frequency: dict[int, int] | None = None,
+        total_cells: int | None = None,
+    ) -> None:
+        """``document_frequency`` and ``total_cells``, when the caller
+        already knows them (a workspace fold derives them from its parts),
+        spare the first walk over every document; they must be exact."""
         if not name:
             raise DocumentFormatError("collection name must be non-empty")
         self.name = name
@@ -37,7 +48,8 @@ class DocumentCollection:
                     f"document at position {position} has doc_id {doc.doc_id}; "
                     f"ids must equal storage positions"
                 )
-        self._document_frequency: dict[int, int] | None = None
+        self._document_frequency = document_frequency
+        self._total_cells = total_cells
 
     # --- constructors -------------------------------------------------------
 
@@ -74,8 +86,10 @@ class DocumentCollection:
 
     @property
     def total_cells(self) -> int:
-        """Total d-cells, i.e. sum of distinct terms per document."""
-        return sum(doc.n_terms for doc in self.documents)
+        """Total d-cells, i.e. sum of distinct terms per document (cached)."""
+        if self._total_cells is None:
+            self._total_cells = sum(len(doc.cells) for doc in self.documents)
+        return self._total_cells
 
     @property
     def avg_terms_per_document(self) -> float:
@@ -86,8 +100,8 @@ class DocumentCollection:
 
     @property
     def total_bytes(self) -> int:
-        """Packed size of the whole collection in bytes."""
-        return sum(doc.n_bytes for doc in self.documents)
+        """Packed size of the whole collection in bytes (5 per d-cell)."""
+        return self.total_cells * D_CELL_BYTES
 
     def document_frequency(self) -> dict[int, int]:
         """``{term: number of documents containing it}`` (cached)."""

@@ -102,8 +102,9 @@ def load_workspace(
 
     ``held`` (:class:`~repro.workspace.segments.HeldSnapshot`) spares
     re-reading segments the caller already has in memory and re-merging
-    a view it already holds, and is left holding this load's; the
-    manifest alone decides what is loaded.
+    a view it already holds, lets the new factory's extents start from
+    the layouts of the one it last built, and is left holding this
+    load's; the manifest alone decides what is loaded.
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
@@ -137,7 +138,14 @@ def load_workspace(
                 f"records {declared['n_documents']}"
             )
     collection2 = None if manifest["self_join"] else views["c2"][0]
-    factory = EnvironmentFactory(views["c1"][0], collection2, spec)
+    factory = EnvironmentFactory(
+        views["c1"][0],
+        collection2,
+        spec,
+        previous=None if held is None else held.factory,
+    )
+    if held is not None:
+        held.factory = factory
     for side_number, role in enumerate(roles, start=1):
         _, inverted, btree = views[role]
         if merged:

@@ -302,13 +302,13 @@ def apply_mutations(
     deleted = {role: len(batch.deletes.get(role, ())) for role in roles}
     drop_delta: dict[str, set[int]] = {role: set() for role in roles}
     new_tombstones: dict[str, list[tuple[str, int]]] = {role: [] for role in roles}
-    by_global = {
-        role: {v: k for k, v in sides[role].global_ids.items()} for role in roles
-    }
     delta_id = None if old_delta is None else old_delta.segment_id
     for role, doc_ids in batch.deletes.items():
+        if not doc_ids:
+            continue
+        by_global = {g: place for place, g in sides[role].global_ids.items()}
         for doc_id in doc_ids:
-            seg_id, local = by_global[role][doc_id]
+            seg_id, local = by_global[doc_id]
             if seg_id == delta_id:
                 drop_delta[role].add(local)
             else:

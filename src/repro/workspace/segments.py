@@ -24,8 +24,9 @@ This module is the segment layer's mechanics:
   document set — which is exactly why everything downstream (operators,
   kernels, IOStats, SQL rows) cannot tell the difference;
 * :class:`HeldSnapshot` is a resident caller's copy of the version it
-  last loaded — its segments and their merged sides — so a warm
-  mutation re-reads no file it holds and merges each version once.
+  last loaded — its segments, their merged sides and the *prefix fold*
+  of every segment before the trailing delta — so a warm mutation
+  re-reads no file it holds and folds only its delta onto the prefix.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.core.environment import EnvironmentSpec
+from repro.core.environment import EnvironmentFactory, EnvironmentSpec
 from repro.errors import ReproError, WorkspaceError
 from repro.index.bptree import BPlusTree
 from repro.index.btree_io import load_btree, save_btree
 from repro.index.codecs import resolve_codec
-from repro.index.inverted import InvertedFile, merge_inverted_segments
+from repro.index.inverted import (
+    InvertedFile,
+    bulk_load_terms,
+    merge_inverted_segments,
+    renumber_entries,
+)
 from repro.text.collection import DocumentCollection
 from repro.text.document import Document
 from repro.text.serialization import (
@@ -92,13 +98,7 @@ def collection_stats(collection: DocumentCollection) -> dict[str, Any]:
 
 def term_tree(inverted: InvertedFile, order: int) -> BPlusTree:
     """A fresh bulk load of ``term -> (record id, document frequency)``."""
-    return BPlusTree.bulk_load(
-        [
-            (entry.term, (record_id, entry.document_frequency))
-            for record_id, entry in enumerate(inverted.entries)
-        ],
-        order=order,
-    )
+    return bulk_load_terms(inverted.document_frequencies(), order)
 
 
 @dataclass
@@ -297,9 +297,143 @@ class MergedSide:
 
     collection: DocumentCollection
     inverted: InvertedFile
-    btree: BPlusTree
+    #: the term tree (a held prefix fold, never served, has none)
+    btree: BPlusTree | None
     #: ``{(segment_id, local_doc): global_doc}`` for every live document
     global_ids: dict[tuple[str, int], int]
+    #: ``{term: document frequency}`` in term order — the inverted file's
+    #: columns, which the next fold and the term tree start from
+    frequencies: dict[int, int]
+
+
+def _leading(
+    role: str,
+    name: str,
+    segment: LoadedSegment,
+    dead: Mapping[tuple[str, str], set[int]],
+    spec: EnvironmentSpec,
+) -> MergedSide:
+    """The live view of the leading segment alone, where a cold fold starts.
+
+    A segment without tombstones, stored in the workspace codec under the
+    view's name, *is* its own live view: nothing is copied or rebuilt.
+    Otherwise its live documents renumber densely; the documents before
+    the first tombstone keep their numbers and stay the same objects, and
+    so do the entries whose postings all lie among them.
+    """
+    codec = resolve_codec(spec.codec)
+    seg_id = segment.segment_id
+    collection = segment.collections.get(role)
+    if collection is None:
+        empty = DocumentCollection(name, [], document_frequency={}, total_cells=0)
+        return MergedSide(empty, codec.build(InvertedFile(name, [])), None, {}, {})
+    inverted = segment.inverted[role]
+    dead_locals = dead.get((role, seg_id), set())
+    same_codec = segment.record["codec"] == spec.codec
+    if (
+        not dead_locals
+        and same_codec
+        and collection.name == inverted.collection_name == name
+    ):
+        return MergedSide(
+            collection,
+            inverted,
+            segment.btrees.get(role),
+            {(seg_id, local): local for local in range(collection.n_documents)},
+            inverted.document_frequencies(),
+        )
+    docs: list[Document] = []
+    doc_map: dict[int, int] = {}
+    cells = 0
+    for doc in collection:
+        if doc.doc_id in dead_locals:
+            continue
+        global_id = len(docs)
+        doc_map[doc.doc_id] = global_id
+        docs.append(doc if doc.doc_id == global_id else Document(global_id, doc.cells))
+        cells += len(doc.cells)
+    # Entries are shared only in the workspace codec's own form.
+    kept = min(dead_locals, default=len(docs)) if same_codec else 0
+    folded = codec.build(
+        InvertedFile(name, renumber_entries(inverted.entries, doc_map, kept))
+    )
+    frequencies = folded.document_frequencies()
+    return MergedSide(
+        DocumentCollection(
+            name, docs, document_frequency=frequencies, total_cells=cells
+        ),
+        folded,
+        None,
+        {(seg_id, local): global_id for local, global_id in doc_map.items()},
+        frequencies,
+    )
+
+
+def _append(
+    role: str,
+    name: str,
+    start: MergedSide,
+    tail: Sequence[LoadedSegment],
+    dead: Mapping[tuple[str, str], set[int]],
+    spec: EnvironmentSpec,
+) -> MergedSide:
+    """``start`` plus the live documents of the ``tail`` segments, in order.
+
+    The view's documents and entries are reused as the same objects; the
+    tail's documents take the next global numbers, their postings are
+    concatenated onto the entries they touch and new terms are inserted
+    in order (:func:`~repro.index.inverted.merge_inverted_segments`), and
+    the statistics add up from the parts.  The work is proportional to
+    the tail, plus list copies of the view.
+    """
+    docs = list(start.collection.documents)
+    global_ids = dict(start.global_ids)
+    cells = start.collection.total_cells
+    appended: dict[int, list[tuple[int, int]]] = {}
+    for segment in tail:
+        collection = segment.collections.get(role)
+        if collection is None:
+            continue
+        seg_id = segment.segment_id
+        dead_locals = dead.get((role, seg_id), set())
+        for doc in collection:
+            if doc.doc_id in dead_locals:
+                continue
+            global_id = len(docs)
+            global_ids[(seg_id, doc.doc_id)] = global_id
+            docs.append(
+                doc if doc.doc_id == global_id else Document(global_id, doc.cells)
+            )
+            cells += len(doc.cells)
+            for term, weight in doc.cells:
+                appended.setdefault(term, []).append((global_id, weight))
+    if len(docs) == start.collection.n_documents:
+        return start
+    entries, frequencies = merge_inverted_segments(
+        start.inverted.entries, start.frequencies, appended
+    )
+    return MergedSide(
+        DocumentCollection(
+            name, docs, document_frequency=frequencies, total_cells=cells
+        ),
+        resolve_codec(spec.codec).build(InvertedFile(name, entries)),
+        None,
+        global_ids,
+        frequencies,
+    )
+
+
+def _fold(
+    role: str,
+    name: str,
+    segments: Sequence[LoadedSegment],
+    dead: Mapping[tuple[str, str], set[int]],
+    spec: EnvironmentSpec,
+) -> MergedSide:
+    """The leading segment's live view with every later segment appended."""
+    return _append(
+        role, name, _leading(role, name, segments[0], dead, spec), segments[1:], dead, spec
+    )
 
 
 def merged_view(
@@ -307,62 +441,32 @@ def merged_view(
     name: str,
     segments: list[LoadedSegment],
     spec: EnvironmentSpec,
+    prefix: MergedSide | None = None,
 ) -> MergedSide:
     """Fold the loaded segments into one logical side.
 
     Value-identical to cold construction over the live documents: the
     collection renumbers live docs in (segment, local) order, the
-    inverted file is the order-preserving posting merge re-encoded in
-    the workspace codec, and the term tree is a fresh bulk load at the
+    inverted file is the order-preserving posting concatenation in the
+    workspace codec, and the term tree is a fresh bulk load at the
     workspace order — the same recipe
     :class:`~repro.core.environment.EnvironmentFactory` uses.
 
-    Value-identical, not a copy: a document that keeps its number (the
-    leading segment's dense run up to its first tombstone) and an entry
-    whose postings all lie in that run and whose term no later segment
-    carries are the leading segment's own objects, so the fold costs
-    O(terms + postings later segments touch), not O(all postings).
+    The fold starts from ``prefix`` — the view of every segment before
+    the trailing one, with the trailing one's tombstones applied (see
+    :func:`merged_sides`) — when the caller holds it, and appends only
+    the trailing segment: O(delta).  Otherwise it starts from the leading
+    segment and appends the rest.  Either way the documents and entries
+    no later segment touches are the start's own objects, not copies.
     """
     dead = tombstones_by_target([segment.record for segment in segments])
-    docs: list[Document] = []
-    parts: list[tuple[InvertedFile, dict[int, int]]] = []
-    kept = 0
-    global_ids: dict[tuple[str, int], int] = {}
-    for segment in segments:
-        seg_id = segment.segment_id
-        collection = segment.collections.get(role)
-        if collection is None:
-            continue
-        dead_locals = dead.get((role, seg_id), set())
-        doc_map: dict[int, int] = {}
-        for doc in collection:
-            if doc.doc_id in dead_locals:
-                continue
-            global_id = len(docs)
-            doc_map[doc.doc_id] = global_id
-            global_ids[(seg_id, doc.doc_id)] = global_id
-            docs.append(
-                doc if doc.doc_id == global_id else Document(global_id, doc.cells)
-            )
-        if not parts and segment.record["codec"] == spec.codec:
-            # Entries are shared only in the workspace codec's own form.
-            kept = min(dead_locals, default=len(doc_map))
-        parts.append((segment.inverted[role], doc_map))
-
-    merged_collection = DocumentCollection(name, docs)
-    codec = resolve_codec(spec.codec)
-    merged_inverted = codec.build(merge_inverted_segments(name, parts, kept))
-    # The inverted file is the collection's transpose: its entry lengths
-    # are the document frequencies a scan of every d-cell would count.
-    merged_collection._document_frequency = {
-        entry.term: entry.document_frequency for entry in merged_inverted.entries
-    }
-    return MergedSide(
-        collection=merged_collection,
-        inverted=merged_inverted,
-        btree=term_tree(merged_inverted, spec.btree_order),
-        global_ids=global_ids,
-    )
+    if prefix is None:
+        view = _fold(role, name, segments, dead, spec)
+    else:
+        view = _append(role, name, prefix, segments[-1:], dead, spec)
+    if view.btree is None:
+        view = replace(view, btree=bulk_load_terms(view.frequencies, spec.btree_order))
+    return view
 
 
 def sides_key(manifest: Mapping[str, Any], segments: list[LoadedSegment]) -> tuple:
@@ -400,14 +504,56 @@ class HeldSnapshot:
 
     ``segments`` spare re-reading files (:func:`load_segments`);
     ``sides`` are the merged view :func:`merged_sides` last built, valid
-    for the segments ``key`` (:func:`sides_key`) names.  Both are caches
-    of contents the caller owns for as long as its snapshot lives — the
-    manifest alone still decides what the workspace is.
+    for the segments ``key`` (:func:`sides_key`) names; ``prefix`` is the
+    fold of every segment before the trailing one with the trailing one's
+    tombstones applied, valid for ``prefix_key`` (the prefix segments'
+    :func:`sides_key` plus those tombstones), from which the next
+    version's view is the prefix plus its trailing delta; ``factory`` is
+    the last factory loaded from it.  All are
+    caches of contents the caller owns for as long as its snapshot lives —
+    the manifest alone still decides what the workspace is.  They are
+    replaced, never changed in place, so a copy of the snapshot keeps its
+    own.
     """
 
     segments: list[LoadedSegment] = field(default_factory=list)
     sides: dict[str, MergedSide] = field(default_factory=dict)
     key: tuple | None = None
+    prefix: dict[str, MergedSide] = field(default_factory=dict)
+    prefix_key: tuple | None = None
+    #: the factory :func:`~repro.workspace.loader.load_workspace` last built
+    #: from this snapshot, whose extent layouts the next one starts from
+    factory: EnvironmentFactory | None = None
+
+
+def _held_prefix(
+    manifest: Mapping[str, Any], segments: list[LoadedSegment], held: HeldSnapshot
+) -> dict[str, MergedSide] | None:
+    """The prefix fold of ``segments``, from ``held`` or folded once and held.
+
+    A held view whose segments are exactly the prefix serves as the
+    prefix when the trailing segment adds no tombstone — a freeze sealed
+    the view's delta and the next write appended a new one.  A batch that
+    adds a tombstone folds the prefix here once; later batches reuse it.
+    """
+    if len(segments) < 2:
+        return None
+    applied = segments[-1].record.get("tombstones", {})
+    key = (sides_key(manifest, segments[:-1]), applied)
+    if held.prefix_key != key:
+        if held.key == key[0] and not any(applied.values()):
+            held.prefix = held.sides
+        else:
+            dead = tombstones_by_target([segment.record for segment in segments])
+            spec = manifest_spec(manifest)
+            held.prefix = {
+                role: _fold(
+                    role, manifest["collections"][role]["name"], segments[:-1], dead, spec
+                )
+                for role in manifest_roles(manifest)
+            }
+        held.prefix_key = key
+    return held.prefix
 
 
 def merged_sides(
@@ -418,17 +564,25 @@ def merged_sides(
     """The merged live view of every role the workspace stores.
 
     With ``held``, a view already merged from the same :func:`sides_key`
-    is returned as it is; otherwise the merge runs and ``held`` keeps it.
-    A cold caller passes ``None`` and always merges.
+    is returned as it is; otherwise each role is folded once from the
+    held prefix (:func:`merged_view`) and ``held`` keeps the result.  A
+    cold caller passes ``None`` and always folds in full.
     """
-    key = None
+    key = prefix = None
     if held is not None:
         key = sides_key(manifest, segments)
         if held.key == key:
             return held.sides
+        prefix = _held_prefix(manifest, segments, held)
     spec = manifest_spec(manifest)
     sides = {
-        role: merged_view(role, manifest["collections"][role]["name"], segments, spec)
+        role: merged_view(
+            role,
+            manifest["collections"][role]["name"],
+            segments,
+            spec,
+            None if prefix is None else prefix[role],
+        )
         for role in manifest_roles(manifest)
     }
     if held is not None:

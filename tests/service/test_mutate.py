@@ -328,23 +328,43 @@ def _merges(monkeypatch):
     return calls
 
 
-#: case -> (service statements first, service statement A, cold statement B
-#: after the restore, service statement C); B writes the segment id A wrote,
-#: differing from A's only in the key field the case names
+#: case -> (service statements first, service steps A, cold steps B after the
+#: restore, service statement C); B writes the segment ids A wrote, differing
+#: from A's only in the key field the case names ("freeze" seals the delta
+#: behind the service's back).  In the prefix cases the segment that differs
+#: is sealed, so C appends to a held *prefix* fold that names it.
 STALE_CASES = {
     # A: tombstone (base, 2); B: tombstone (base, 5); no files either way
     "tombstones": (
         (),
-        "DELETE FROM R2 WHERE Id = 2",
-        "DELETE FROM R2 WHERE Id = 5",
+        ("DELETE FROM R2 WHERE Id = 2",),
+        ("DELETE FROM R2 WHERE Id = 5",),
         "DELETE FROM R2 WHERE Id = 2",
     ),
     # A keeps one of three delta documents, B two; no tombstones either way
     "files": (
         ("INSERT INTO R2 (Doc) VALUES ('{0}'), ('{1}'), ('{2}')",),
-        "DELETE FROM R2 WHERE Id > 24",
-        "DELETE FROM R2 WHERE Id = 24",
+        ("DELETE FROM R2 WHERE Id > 24",),
+        ("DELETE FROM R2 WHERE Id = 24",),
         "DELETE FROM R2 WHERE Id = 25",
+    ),
+    # a sealed segment of A's documents, of B's: same count, other files
+    "prefix-files": (
+        (),
+        ("INSERT INTO R2 (Doc) VALUES ('{0}'), ('{1}')", "freeze",
+         "INSERT INTO R1 (Doc) VALUES ('{4}')"),
+        ("INSERT INTO R2 (Doc) VALUES ('{2}'), ('{3}')", "freeze",
+         "INSERT INTO R1 (Doc) VALUES ('{4}')"),
+        "INSERT INTO R1 (Doc) VALUES ('{5}')",
+    ),
+    # a sealed segment of A's tombstone, of B's: no files either way
+    "prefix-tombstones": (
+        (),
+        ("DELETE FROM R2 WHERE Id = 2", "freeze",
+         "INSERT INTO R1 (Doc) VALUES ('{4}')"),
+        ("DELETE FROM R2 WHERE Id = 5", "freeze",
+         "INSERT INTO R1 (Doc) VALUES ('{4}')"),
+        "INSERT INTO R1 (Doc) VALUES ('{5}')",
     ),
 }
 
@@ -373,30 +393,96 @@ class TestWarmMutateBuilds:
             assert sorted(merges) == ["c1", "c2"], step
             assert _rows(service) == _cold_rows(directory)
 
+    def test_a_warm_insert_builds_only_the_delta(self, resident, monkeypatch):
+        """After a base delete renumbered every later document, an INSERT
+        still constructs only the delta's documents and touched entries:
+        the fold starts from the held prefix, not the leading segment."""
+        from repro.index.inverted import InvertedEntry
+        from repro.text.document import Document
+
+        service, directory, words = resident
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]} {words[8]}')"))
+        service.mutate(_request("DELETE FROM R1 WHERE Id = 0"))  # a tombstone
+        built_docs, built_terms = [], []
+        real_doc, real_entry = Document.__init__, InvertedEntry.__init__
+
+        def doc_init(self, doc_id, cells):
+            real_doc(self, doc_id, cells)
+            built_docs.append(self.cells)
+
+        def entry_init(self, term, postings):
+            real_entry(self, term, postings)
+            built_terms.append(term)
+
+        monkeypatch.setattr(Document, "__init__", doc_init)
+        monkeypatch.setattr(InvertedEntry, "__init__", entry_init)
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[2]} {words[50]}')"))
+        monkeypatch.undo()
+
+        delta = service._workspaces["ws"].held.segments[-1].collections["c1"]
+        delta_cells = {doc.cells for doc in delta}
+        assert len(delta_cells) == 2 and built_docs
+        assert set(built_docs) <= delta_cells
+        assert built_terms
+        assert set(built_terms) <= {term for cells in delta_cells for term, _ in cells}
+        assert _rows(service) == _cold_rows(directory)
+
+    def test_a_warm_insert_places_only_the_new_record(self, resident):
+        """The next snapshot's extents start from the spans the previous
+        one materialised: records that kept their place share them."""
+        service, directory, words = resident
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[1]}')"))
+        old = service._workspaces["ws"].factory
+        old_spans = {
+            side: (old.docs_extent(side).spans(), old.inverted_extent(side).spans())
+            for side in (1, 2)
+        }
+        service.mutate(_request(f"INSERT INTO R1 (Doc) VALUES ('{words[3]} {words[40]}')"))
+        new = service._workspaces["ws"].factory
+        docs1 = new.docs_extent(1).spans()
+        assert len(docs1) == len(old_spans[1][0]) + 1
+        assert all(mine is theirs for mine, theirs in zip(docs1, old_spans[1][0]))
+        # C2 did not change: every span of both its extents is shared
+        for mine, theirs in zip(
+            (new.docs_extent(2).spans(), new.inverted_extent(2).spans()), old_spans[2]
+        ):
+            assert len(mine) == len(theirs)
+            assert all(a is b for a, b in zip(mine, theirs))
+        assert not new._replaced  # the old extents are let go once laid out
+        assert _rows(service) == _cold_rows(directory)
+
     @pytest.mark.parametrize("case", sorted(STALE_CASES))
     def test_a_held_view_is_never_stale(self, resident, tmp_path, case):
-        """A restore from backup plus a cold DELETE rewrite, behind the
+        """A restore from backup plus cold writes rewrite, behind the
         service's back, a segment id the service holds a view of."""
         import shutil
 
         from repro.sql import execute_mutation
-        from repro.workspace import verify_workspace
+        from repro.workspace import freeze_delta, verify_workspace
 
-        setup, held_sql, cold_sql, next_sql = STALE_CASES[case]
+        setup, held_steps, cold_steps, next_sql = STALE_CASES[case]
         service, directory, words = resident
+
+        def play(steps, target, run):
+            for step in steps:
+                if step == "freeze":
+                    freeze_delta(target)
+                else:
+                    run(step.format(*words))
+
         for sql in setup:
             service.mutate(_request(sql.format(*words)))
         backup = tmp_path / "backup"
         shutil.copytree(directory, backup)
-        service.mutate(_request(held_sql))
+        play(held_steps, directory, lambda sql: service.mutate(_request(sql)))
         shutil.rmtree(directory)
         shutil.copytree(backup, directory)
-        execute_mutation(cold_sql, directory)
-        service.mutate(_request(next_sql))
+        play(cold_steps, directory, lambda sql: execute_mutation(sql, directory))
+        service.mutate(_request(next_sql.format(*words)))
 
         oracle = tmp_path / "oracle"
         shutil.copytree(backup, oracle)
-        for sql in (cold_sql, next_sql):
-            execute_mutation(sql, oracle)
+        play(cold_steps, oracle, lambda sql: execute_mutation(sql, oracle))
+        execute_mutation(next_sql.format(*words), oracle)
         assert _rows(service) == _cold_rows(directory) == _cold_rows(oracle)
         assert verify_workspace(directory) == []
