@@ -121,3 +121,68 @@ class TestV3Validation:
         bumped = dict(manifest)
         bumped["version"] = manifest_version(manifest) + 1
         assert manifest_fingerprint(bumped) != manifest_fingerprint(manifest)
+
+
+def _first_file(record):
+    return next(iter(record["files"].values()))
+
+
+#: field named by the error (plus a tag) -> an in-place manifest edit
+HOSTILE_NUMBERS = {
+    "bytes": lambda m: _first_file(m["segments"][1]).update(bytes=-5),
+    "n_documents": lambda m: m["collections"]["c1"].update(n_documents=-1),
+    "total_bytes": lambda m: m["segments"][0]["collections"]["c2"].update(
+        total_bytes=-1
+    ),
+    "avg_terms_per_doc nan": lambda m: m["collections"]["c2"].update(
+        avg_terms_per_doc=float("nan")
+    ),
+    "avg_terms_per_doc inf": lambda m: m["segments"][1]["collections"]["c1"].update(
+        avg_terms_per_doc=float("inf")
+    ),
+}
+
+
+class TestHostileRecords:
+    """Hand-edited manifests that once loaded, and what they led to."""
+
+    @pytest.fixture()
+    def v3(self, built):
+        from repro.workspace import MutationBatch, apply_mutations
+
+        directory, _ = built
+        apply_mutations(
+            directory, MutationBatch.from_term_lists(inserts={"c1": [[1, 2]]})
+        )
+        return directory, load_manifest(directory)
+
+    def test_dot_segment_path_is_rejected_and_compact_deletes_nothing(self, v3):
+        # The fingerprint does not cover ``path``, so only the shape check
+        # stands between this edit and ``rmtree(directory / ".")``.
+        import json
+
+        from repro.workspace import MANIFEST_NAME, compact
+
+        directory, manifest = v3
+        manifest["segments"][0]["path"] = "."
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        before = sorted(p.name for p in directory.iterdir())
+        with pytest.raises(WorkspaceError, match="'path'"):
+            load_workspace(directory)
+        with pytest.raises(WorkspaceError, match="'path'"):
+            compact(directory)
+        assert sorted(p.name for p in directory.iterdir()) == before
+
+    @pytest.mark.parametrize("edit", sorted(HOSTILE_NUMBERS))
+    def test_negative_counts_and_non_finite_floats_are_rejected(self, v3, edit):
+        import json
+
+        from repro.workspace import MANIFEST_NAME
+
+        directory, manifest = v3
+        HOSTILE_NUMBERS[edit](manifest)
+        # json writes NaN and Infinity, and json.loads reads them back
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(WorkspaceError, match=repr(edit.split()[0])):
+            load_manifest(directory)
+
