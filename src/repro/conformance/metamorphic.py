@@ -39,14 +39,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.conformance.differential import Divergence
 from repro.conformance.trials import (
-    DEFAULT_EXECUTORS,
-    ExecutorFn,
-    TrialConfig,
-    random_trial_config,
+    DEFAULT_EXECUTORS, ExecutorFn, TrialConfig, random_trial_config,
 )
 from repro.core.join import JoinEnvironment
 from repro.errors import InsufficientMemoryError
@@ -70,6 +67,21 @@ def _environment(
     )
 
 
+def _pairs(
+    executors: Mapping[str, ExecutorFn],
+    first: tuple[JoinEnvironment, TrialConfig],
+    second: tuple[JoinEnvironment, TrialConfig],
+) -> Iterator[tuple[str, Any, Any]]:
+    """Each executor's ``first`` and ``second`` runs; an executor that
+    runs out of memory on either proves nothing and is passed over."""
+    for name, executor in executors.items():
+        try:
+            runs = executor(*first), executor(*second)
+        except InsufficientMemoryError:
+            continue
+        yield name, *runs
+
+
 def check_lambda_monotonicity(
     config: TrialConfig, executors: Mapping[str, ExecutorFn], tolerance: float
 ) -> list[tuple[str, str]]:
@@ -77,25 +89,18 @@ def check_lambda_monotonicity(
     failures: list[tuple[str, str]] = []
     environment = config.build_environment()
     wide = replace(config, lam=config.lam * 2)
-    for name, executor in executors.items():
-        try:
-            narrow_run = executor(environment, config)
-            wide_run = executor(environment, wide)
-        except InsufficientMemoryError:
-            continue
+    for name, narrow_run, wide_run in _pairs(
+        executors, (environment, config), (environment, wide)
+    ):
         for outer_id, narrow_hits in narrow_run.matches.items():
             prefix = wide_run.matches.get(outer_id, [])[: config.lam]
             if len(narrow_hits) != len(prefix) or any(
                 d_n != d_w or abs(s_n - s_w) > tolerance
                 for (d_n, s_n), (d_w, s_w) in zip(narrow_hits, prefix)
             ):
-                failures.append(
-                    (
-                        name,
-                        f"outer doc {outer_id}: top-{config.lam} is not a "
-                        f"prefix of top-{wide.lam}: {narrow_hits} vs {prefix}",
-                    )
-                )
+                failures.append((name, f"outer doc {outer_id}: top-{config.lam} is "
+                                 f"not a prefix of top-{wide.lam}: {narrow_hits} "
+                                 f"vs {prefix}"))
                 break
     return failures
 
@@ -107,23 +112,15 @@ def check_buffer_monotonicity(
     failures: list[tuple[str, str]] = []
     environment = config.build_environment()
     bigger = replace(config, buffer_pages=config.buffer_pages * 2)
-    for name, executor in executors.items():
-        try:
-            small_run = executor(environment, config)
-            big_run = executor(environment, bigger)
-        except InsufficientMemoryError:
-            continue
+    for name, small_run, big_run in _pairs(
+        executors, (environment, config), (environment, bigger)
+    ):
         cost_small = small_run.weighted_cost(config.alpha)
         cost_big = big_run.weighted_cost(config.alpha)
         if cost_big > cost_small * (1.0 + tolerance) + tolerance:
-            failures.append(
-                (
-                    name,
-                    f"weighted cost rose from {cost_small:.1f} at "
-                    f"B={config.buffer_pages} to {cost_big:.1f} at "
-                    f"B={bigger.buffer_pages}",
-                )
-            )
+            failures.append((name, f"weighted cost rose from {cost_small:.1f} at "
+                             f"B={config.buffer_pages} to {cost_big:.1f} at "
+                             f"B={bigger.buffer_pages}"))
     return failures
 
 
@@ -152,20 +149,15 @@ def check_term_permutation(
     permutation = list(range(highest_term + 1))
     random.Random(config.spec1.seed ^ 0x5EED).shuffle(permutation)
     p1 = _permute_collection(c1, permutation, f"{c1.name}-perm")
-    p2 = p1 if config.self_join else _permute_collection(c2, permutation, f"{c2.name}-perm")
-
-    original_env = _environment(config, c1, c2)
-    permuted_env = _environment(config, p1, p2)
-    for name, executor in executors.items():
-        try:
-            original = executor(original_env, config)
-            permuted = executor(permuted_env, config)
-        except InsufficientMemoryError:
-            continue
+    p2 = p1 if config.self_join else _permute_collection(
+        c2, permutation, f"{c2.name}-perm"
+    )
+    for name, original, permuted in _pairs(
+        executors, (_environment(config, c1, c2), config),
+        (_environment(config, p1, p2), config),
+    ):
         if not original.same_matches_as(permuted, tolerance=tolerance):
-            failures.append(
-                (name, "match set changed under a term-id permutation")
-            )
+            failures.append((name, "match set changed under a term-id permutation"))
     return failures
 
 
@@ -189,14 +181,10 @@ def check_document_duplication(
     )
     doubled = replace(base, lam=base.lam * 2)
 
-    original_env = _environment(base, c1, c2)
-    duplicated_env = _environment(base, duplicated, c2)
-    for name, executor in executors.items():
-        try:
-            original = executor(original_env, base)
-            doubled_run = executor(duplicated_env, doubled)
-        except InsufficientMemoryError:
-            continue
+    for name, original, doubled_run in _pairs(
+        executors, (_environment(base, c1, c2), base),
+        (_environment(base, duplicated, c2), doubled),
+    ):
         for outer_id, hits in original.matches.items():
             expected = sorted(
                 similarity for _, similarity in hits for _ in range(2)
@@ -208,13 +196,9 @@ def check_document_duplication(
             if len(expected) != len(got) or any(
                 abs(a - b) > tolerance for a, b in zip(expected, got)
             ):
-                failures.append(
-                    (
-                        name,
-                        f"outer doc {outer_id}: duplicated-inner similarity "
-                        f"multiset {got} != doubled original {expected}",
-                    )
-                )
+                failures.append((name, f"outer doc {outer_id}: duplicated-inner "
+                                 f"similarity multiset {got} != doubled original "
+                                 f"{expected}"))
                 break
     return failures
 
@@ -234,24 +218,16 @@ def check_normalized_consistency(
     cosine_config = replace(config, lam=n1, normalized=True)
     norms1 = environment.norms1()
     norms2 = environment.norms2()
-    for name, executor in executors.items():
-        try:
-            raw_run = executor(environment, raw_config)
-            cosine_run = executor(environment, cosine_config)
-        except InsufficientMemoryError:
-            continue
+    for name, raw_run, cosine_run in _pairs(
+        executors, (environment, raw_config), (environment, cosine_config)
+    ):
         for outer_id, raw_hits in raw_run.matches.items():
             raw_by_doc = dict(raw_hits)
             cosine_by_doc = dict(cosine_run.matches.get(outer_id, []))
             if set(raw_by_doc) != set(cosine_by_doc):
-                failures.append(
-                    (
-                        name,
-                        f"outer doc {outer_id}: normalisation changed the "
-                        f"matched set: {sorted(raw_by_doc)} vs "
-                        f"{sorted(cosine_by_doc)}",
-                    )
-                )
+                failures.append((name, f"outer doc {outer_id}: normalisation changed "
+                                 f"the matched set: {sorted(raw_by_doc)} vs "
+                                 f"{sorted(cosine_by_doc)}"))
                 break
             bad = next(
                 (
@@ -266,13 +242,8 @@ def check_normalized_consistency(
                 None,
             )
             if bad is not None:
-                failures.append(
-                    (
-                        name,
-                        f"outer doc {outer_id}, inner doc {bad}: cosine "
-                        f"similarity is not raw / (norm1 * norm2)",
-                    )
-                )
+                failures.append((name, f"outer doc {outer_id}, inner doc {bad}: "
+                                 "cosine similarity is not raw / (norm1 * norm2)"))
                 break
     return failures
 
@@ -341,26 +312,15 @@ def run_metamorphic(
                 outcome.checks_run.get(invariant_name, 0) + 1
             )
             for executor_name, detail in invariant(config, executors, tolerance):
-                outcome.divergences.append(
-                    Divergence(
-                        check=f"metamorphic:{invariant_name}",
-                        executor=executor_name,
-                        trial=trial,
-                        detail=detail,
-                        reproduction=config.reproduction(),
-                    )
-                )
+                outcome.divergences.append(Divergence(
+                    f"metamorphic:{invariant_name}", executor_name, trial, detail,
+                    config.reproduction(),
+                ))
     return outcome
 
 
 __all__ = [
-    "INVARIANTS",
-    "InvariantFn",
-    "MetamorphicOutcome",
-    "check_buffer_monotonicity",
-    "check_document_duplication",
-    "check_lambda_monotonicity",
-    "check_normalized_consistency",
-    "check_term_permutation",
-    "run_metamorphic",
+    "INVARIANTS", "InvariantFn", "MetamorphicOutcome", "check_buffer_monotonicity",
+    "check_document_duplication", "check_lambda_monotonicity",
+    "check_normalized_consistency", "check_term_permutation", "run_metamorphic",
 ]
